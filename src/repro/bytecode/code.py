@@ -44,14 +44,15 @@ class FeedbackSlotInfo:
     kind: SiteKind
     position: SourcePosition
     name: str | None
+    #: The stable string key used by the TOAST and HCVT.  Includes the
+    #: site kind so that e.g. the load and store halves of a compound
+    #: assignment (same source position) stay distinct.  Derived from
+    #: the fields above once per slot: site registration, quickening and
+    #: IC misses that create hidden classes all read it.
+    site_key: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def site_key(self) -> str:
-        """The stable string key used by the TOAST and HCVT.
-
-        Includes the site kind so that e.g. the load and store halves of a
-        compound assignment (same source position) stay distinct."""
-        return f"{self.position}:{self.kind.value}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "site_key", f"{self.position}:{self.kind.value}")
 
     @property
     def reusable(self) -> bool:

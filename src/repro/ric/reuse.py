@@ -290,15 +290,45 @@ class MultiReuseSession:
     own validation table; a hidden-class creation event is offered to all
     of them.  This is how per-file records extracted by *different
     applications* compose on a single page load.
+
+    Offering an event to a session whose record has no TOAST entry for
+    the creation key only counts one TOAST lookup there, so the event is
+    dispatched through a TOAST-key index to the sessions that can match,
+    and the others' lookups are counted in one step: every counter reads
+    as if all sessions had been visited.  The naive-match ablation
+    (``validate=False``) ignores the TOAST and visits every session.
     """
 
-    __slots__ = ("sessions",)
+    __slots__ = ("sessions", "_by_key", "_counters")
 
     def __init__(self, sessions: list[ReuseSession]):
         self.sessions = sessions
+        #: creation key -> sessions whose record has a TOAST entry for it,
+        #: in session order; None when every session must be visited.
+        self._by_key: "dict[str, list[ReuseSession]] | None" = None
+        self._counters = sessions[0].counters if sessions else None
+        if all(
+            session.config.validate and session.counters is self._counters
+            for session in sessions
+        ):
+            by_key: dict[str, list[ReuseSession]] = {}
+            for session in sessions:
+                for key in session.record.toast:
+                    by_key.setdefault(key, []).append(session)
+            self._by_key = by_key
 
     def on_hidden_class_created(self, hc: HiddenClass) -> None:
-        for session in self.sessions:
+        if self._by_key is None:
+            for session in self.sessions:
+                session.on_hidden_class_created(hc)
+            return
+        matching = self._by_key.get(hc.creation_key, ())
+        skipped = len(self.sessions) - len(matching)
+        if skipped:
+            counters = self._counters
+            counters.ric_toast_lookups += skipped
+            counters.charge(CATEGORY_RIC, skipped * cost.RIC_TOAST_LOOKUP)
+        for session in matching:
             session.on_hidden_class_created(hc)
 
     def classify_miss(self, site: ICSite, hc: HiddenClass) -> str:

@@ -94,23 +94,39 @@ def derived_prop_feedback(record: ICRecord) -> dict:
     serialized.  Sites with polymorphic slot sets, exotic handlers, or a
     handler/site-kind mismatch derive nothing.
     """
+    # handler id -> (site-key suffix, feedback kind, offset), for the
+    # derivable handlers only.
+    rules = {}
+    for handler_id, handler in enumerate(record.handlers):
+        if not isinstance(handler, dict):
+            continue
+        rule = _DERIVABLE_HANDLERS.get(handler.get("kind"))
+        offset = handler.get("offset")
+        if rule is not None and isinstance(offset, int):
+            rules[handler_id] = (*rule, offset)
     derived = {}
+    # Sites with the same slot derive equal entries, and entries are
+    # frozen, so they share one.  Only exact-int hcids share: True == 1,
+    # and the entry must keep the type validation will check.
+    shared: dict[tuple, SiteFeedback] = {}
     for site_key, slots in record.site_slots.items():
         if len(slots) != 1:
             continue
         slot = slots[0]
         if not 0 <= slot.handler_id < len(record.handlers):
             continue
-        handler = record.handlers[slot.handler_id]
-        if not isinstance(handler, dict):
-            continue
-        rule = _DERIVABLE_HANDLERS.get(handler.get("kind"))
+        rule = rules.get(slot.handler_id)
         if rule is None or not site_key.endswith(rule[0]):
             continue
-        offset = handler.get("offset")
-        if not isinstance(offset, int):
+        hcid = slot.hcid
+        if type(hcid) is not int:
+            derived[site_key] = SiteFeedback(rule[1], 0, 0, hcid, rule[2])
             continue
-        derived[site_key] = SiteFeedback(kind=rule[1], hcid=slot.hcid, offset=offset)
+        entry = shared.get((hcid, slot.handler_id))
+        if entry is None:
+            entry = SiteFeedback(rule[1], 0, 0, hcid, rule[2])
+            shared[hcid, slot.handler_id] = entry
+        derived[site_key] = entry
     return derived
 
 
@@ -140,11 +156,13 @@ def _feedback_from_wire(entry: list) -> SiteFeedback:
     kind = _WIRE_TO_FEEDBACK_KIND[head]
     if len(entry) == 1:
         return SiteFeedback(kind=kind, mega=True)
+    # Positional (kind, op, types, hcid, offset): the decoder builds
+    # thousands of these per page, and keywords cost a quarter more.
     if kind == FEEDBACK_ARITH:
         _, op, types = entry
-        return SiteFeedback(kind=kind, op=op, types=types)
+        return SiteFeedback(kind, op, types)
     _, hcid, offset = entry
-    return SiteFeedback(kind=kind, hcid=hcid, offset=offset)
+    return SiteFeedback(kind, 0, 0, hcid, offset)
 
 
 def record_to_json(record: ICRecord) -> dict:
@@ -206,12 +224,14 @@ def record_from_json(data: dict) -> ICRecord:
             f"(expected {ICRECORD_FORMAT_VERSION})"
         )
     try:
+        # Entries are built positionally, in dataclass field order (see
+        # _feedback_from_wire).
         record = ICRecord(script_keys=list(data["script_keys"]))
         record.hcvt = [
             HCVTRow(
                 hcid=row["hcid"],
                 dependents=[
-                    DependentEntry(site_key=site_key, handler_id=handler_id)
+                    DependentEntry(site_key, handler_id)
                     for site_key, handler_id in row["dependents"]
                 ],
                 cd_dependent_sites=list(row["cd_dependent_sites"]),
@@ -220,21 +240,14 @@ def record_from_json(data: dict) -> ICRecord:
         ]
         record.toast = {
             key: [
-                ToastPair(
-                    incoming_hcid=incoming,
-                    transition_property=prop,
-                    outgoing_hcid=outgoing,
-                )
+                ToastPair(incoming, prop, outgoing)
                 for incoming, prop, outgoing in pairs
             ]
             for key, pairs in data["toast"].items()
         }
         record.handlers = [dict(handler) for handler in data["handlers"]]
         record.site_slots = {
-            site_key: [
-                SiteSlot(hcid=hcid, handler_id=handler_id)
-                for hcid, handler_id in slots
-            ]
+            site_key: [SiteSlot(hcid, handler_id) for hcid, handler_id in slots]
             for site_key, slots in data["site_slots"].items()
         }
         site_feedback = derived_prop_feedback(record)

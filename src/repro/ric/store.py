@@ -283,7 +283,9 @@ class RecordStore:
     ):
         self._lock = threading.RLock()
         self._entries: dict[str, ICRecord] = {}
-        #: Serialized payload bytes per key, for :meth:`status`.
+        #: Serialized envelope bytes per key, for :meth:`status`.  A
+        #: directory store measures what it writes; a memory-only store
+        #: encodes nothing on ``put`` and measures on first ``status``.
         self._sizes: dict[str, int] = {}
         self._directory = Path(directory) if directory is not None else None
         self.quarantine = quarantine
@@ -322,14 +324,23 @@ class RecordStore:
 
         The daemon's write-through path: it only ever sees the hash, not
         the source text, so the plain :meth:`put` signature cannot apply.
+
+        A memory-only store keeps the record as given and encodes
+        nothing: the remote client writes every fetched record back
+        here, on the reuse path, and the encoded form is needed only if
+        :meth:`status` asks for sizes.
         """
-        text = json.dumps(record_to_envelope(record, extra={"key": key}))
+        if self._directory is None:
+            with self._lock:
+                self._entries[key] = record
+                self._sizes.pop(key, None)
+            return
+        text = _envelope_text(key, record)
         with self._lock:
             self._entries[key] = record
             self._sizes[key] = len(text.encode("utf-8"))
-            if self._directory is not None:
-                with file_lock(self._lock_path(), exclusive=True):
-                    atomic_write_text(self._path_for_key(key), text)
+            with file_lock(self._lock_path(), exclusive=True):
+                atomic_write_text(self._path_for_key(key), text)
 
     def get(self, filename: str, source: str) -> ICRecord | None:
         with self._lock:
@@ -363,6 +374,9 @@ class RecordStore:
         if self._directory is not None:
             quarantined = len(list(self._directory.glob("*.corrupt*")))
         with self._lock:
+            for key, record in self._entries.items():
+                if key not in self._sizes:
+                    self._sizes[key] = len(_envelope_text(key, record).encode("utf-8"))
             return {
                 "records": len(self._entries),
                 "bytes": sum(self._sizes.values()),
@@ -473,6 +487,11 @@ class RecordStore:
             os.replace(path, target)
         except OSError:  # pragma: no cover - raced by another process
             pass
+
+
+def _envelope_text(key: str, record: ICRecord) -> str:
+    """The on-disk form of one store entry (``key`` rides outside the checksum)."""
+    return json.dumps(record_to_envelope(record, extra={"key": key}))
 
 
 def _safe(key: str) -> str:

@@ -101,6 +101,16 @@ _CMP_VARIANTS = {
     ),
 }
 
+_BINARY = int(Op.BINARY)
+_GET_PROP = int(Op.GET_PROP)
+_SET_PROP = int(Op.SET_PROP)
+_GET_PROP_SLOT = int(Op.GET_PROP_SLOT)
+_SET_PROP_SLOT = int(Op.SET_PROP_SLOT)
+
+#: The only opcodes :func:`_rewrite` can replace; it passes over every
+#: other instruction after one set probe.
+_REWRITABLE_OPS = frozenset((_BINARY, _GET_PROP, _SET_PROP, *_CMP_VARIANTS))
+
 
 def merge_site_feedback(
     records: "typing.Iterable[ICRecord]",
@@ -135,9 +145,14 @@ def _rewrite(
     new_instructions: list[tuple[int, int, int]] | None = None
     spec_table: list[tuple[int, int]] = []
     count = 0
+    slots = code.feedback_slots
     for pc, (op, a, b) in enumerate(code.instructions):
+        if op not in _REWRITABLE_OPS:
+            continue
         replacement: tuple[int, int, int] | None = None
-        if op == Op.BINARY and a in ARITH_BINOPS:
+        if op == _BINARY:
+            if a not in ARITH_BINOPS:
+                continue
             fb = feedback.get(arith_site_key(code, pc))
             if (
                 fb is not None
@@ -148,7 +163,9 @@ def _rewrite(
                 typed = _arith_replacement(a, fb.types)
                 if typed is not None:
                     replacement = (typed, a, b)
-        elif op in _CMP_VARIANTS and b in CMP_BINOPS:
+        elif op in _CMP_VARIANTS:
+            if b not in CMP_BINOPS:
+                continue
             fb = feedback.get(arith_site_key(code, pc))
             if (
                 fb is not None
@@ -160,8 +177,8 @@ def _rewrite(
             ):
                 int_only = not fb.types & ~FEEDBACK_INT
                 replacement = (_CMP_VARIANTS[op][0 if int_only else 1], a, b)
-        elif op == Op.GET_PROP:
-            fb = feedback.get(code.feedback_slots[b].site_key)
+        elif op == _GET_PROP:
+            fb = feedback.get(slots[b].site_key)
             if (
                 fb is not None
                 and not fb.mega
@@ -169,9 +186,9 @@ def _rewrite(
                 and fb.offset >= 0
             ):
                 spec_table.append((a, fb.offset))
-                replacement = (int(Op.GET_PROP_SLOT), len(spec_table) - 1, b)
-        elif op == Op.SET_PROP:
-            fb = feedback.get(code.feedback_slots[b].site_key)
+                replacement = (_GET_PROP_SLOT, len(spec_table) - 1, b)
+        elif op == _SET_PROP:
+            fb = feedback.get(slots[b].site_key)
             if (
                 fb is not None
                 and not fb.mega
@@ -183,7 +200,7 @@ def _rewrite(
                 and code.names[a] != "prototype"
             ):
                 spec_table.append((a, fb.offset))
-                replacement = (int(Op.SET_PROP_SLOT), len(spec_table) - 1, b)
+                replacement = (_SET_PROP_SLOT, len(spec_table) - 1, b)
         if replacement is not None:
             if new_instructions is None:
                 new_instructions = list(code.instructions)
