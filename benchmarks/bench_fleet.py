@@ -3,7 +3,7 @@
 Quantifies what the consistent-hash fleet buys — and what a shard
 failure costs — as numbers.  A fleet of N in-process ``ricd`` shards
 (replication R) is warmed with K tenant records, then a Zipfian access
-trace plays against it through a :class:`ShardedRecordStore`:
+trace plays against it through a :class:`RemoteRecordStore`:
 
 * **healthy** phase — the first half of the trace with all shards up;
 * **degraded** phase — the second half after the primary owner of the
@@ -36,8 +36,9 @@ from repro.bytecode.cache import source_hash
 from repro.core.engine import Engine
 from repro.faults import kill_shard
 from repro.ric.store import RecordStore
+from repro.server.client import RemoteRecordStore
 from repro.server.daemon import RecordCacheDaemon
-from repro.server.sharding import HashRing, ShardedRecordStore
+from repro.server.sharding import HashRing
 
 SCHEMA = "ric-bench-fleet/v1"
 
@@ -83,7 +84,7 @@ def _percentile(sorted_samples: "list[float]", fraction: float) -> float:
 
 
 def _play_phase(
-    store: ShardedRecordStore, trace: "list[int]"
+    store: RemoteRecordStore, trace: "list[int]"
 ) -> "tuple[dict, dict]":
     """Run one phase of the trace; returns (phase blob, raw stats after)."""
     before = store.stats_snapshot()
@@ -141,7 +142,7 @@ def measure_fleet(
             )
             record = engine.extract_per_script_records()["tenant.jsl"]
 
-            store = ShardedRecordStore(
+            store = RemoteRecordStore(
                 endpoints,
                 fallback=RecordStore(directory=Path(tmp) / "local"),
                 replication=replication,

@@ -16,7 +16,7 @@ module supplies the governance half of that contract:
 * :class:`BudgetMeter` — the per-run mutable enforcement state the VM
   consults.  The dispatch loop checks it on an **amortized stride**
   (every ``check_stride`` dispatched bytecodes, see
-  ``VM._execute_governed``), so the hot path pays one integer compare
+  ``VM._execute``), so the hot path pays one integer compare
   per dispatch and the full check (clock read, heap read, token read)
   only every N dispatches.  Frame depth is checked eagerly at call
   setup, where a comparison already exists.

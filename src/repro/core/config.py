@@ -68,14 +68,12 @@ class RICConfig:
       ``tcp://HOST:PORT`` TCP spec, or *several* endpoints (a tuple, or
       one comma-separated string) for a sharded fleet.  When set, an
       :class:`Engine` without an explicit ``record_store`` builds a
-      :class:`~repro.server.client.RemoteRecordStore` (one endpoint) or
-      a consistent-hash :class:`~repro.server.sharding.ShardedRecordStore`
-      (several) with a local in-memory fallback; ``None`` (default)
+      consistent-hash :class:`~repro.server.client.RemoteRecordStore`
+      over them with a local in-memory fallback; ``None`` (default)
       keeps the store local.
-    * ``remote_replication`` — replica count R for the sharded fleet:
-      every record is PUT to its R ring owners and a GET fails over
-      down that preference list.  Clamped to the fleet size; ignored
-      for a single endpoint.
+    * ``remote_replication`` — replica count R: every record is PUT to
+      its R ring owners and a GET fails over down that preference list.
+      Clamped to the fleet size, so a single endpoint has R=1.
     * ``remote_timeout_s`` — per-request socket timeout.  Deliberately
       small: a slow daemon must cost milliseconds, not stall a run.
     * ``remote_retry_s`` — circuit-breaker hold-off after a transport
@@ -128,7 +126,7 @@ class RICConfig:
     def execution_budget(self):
         """The :class:`~repro.core.budget.ExecutionBudget` these knobs
         describe, or ``None`` when every dimension is unlimited (so the
-        VM keeps its zero-overhead ungoverned loop)."""
+        VM has no meter and its governance check never runs)."""
         if (
             self.max_steps is None
             and self.max_heap_bytes is None

@@ -32,9 +32,7 @@ Example::
     assert ric.ic_miss_rate < conventional.ic_miss_rate
 
 The state of the most recent run is exposed as :attr:`last_run` — a
-:class:`~repro.core.session.RunSession` handle.  The old private
-``_last_runtime``/``_last_feedback`` attributes still work but are
-deprecated shims over it.
+:class:`~repro.core.session.RunSession` handle.
 """
 
 from __future__ import annotations
@@ -42,30 +40,20 @@ from __future__ import annotations
 import random
 import threading
 import typing
-import warnings
 
 from repro.bytecode.cache import CodeCache
 from repro.bytecode.code import CodeObject
 from repro.core.artifacts import ArtifactBuilder, ArtifactCache
 from repro.core.budget import CancelToken, ExecutionBudget
 from repro.core.config import RICConfig
-from repro.core.session import RunSession, admit_record
+from repro.core.session import RunSession
 from repro.ric.errors import CorruptRecord
 from repro.ric.icrecord import ICRecord
 from repro.stats.counters import Counters
 from repro.stats.profile import RunProfile
 
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.ic.icvector import FeedbackState
-    from repro.runtime.context import Runtime
-
 #: A workload: list of (filename, source) scripts executed in order.
 Scripts = typing.Sequence[typing.Tuple[str, str]]
-
-_LAST_RUNTIME_DEPRECATION = (
-    "Engine.{name} is deprecated; use engine.last_run.{attr} "
-    "(the RunSession handle of the most recent run) instead"
-)
 
 
 class Engine:
@@ -83,9 +71,9 @@ class Engine:
         self.optimize = optimize
         self.code_cache = CodeCache(cache_dir=cache_dir)
         #: Record-store selection (any RecordStoreProtocol): an explicit
-        #: store wins; else ``config.remote_socket`` builds a daemon-backed
-        #: RemoteRecordStore with a local fallback; else no store (records
-        #: are passed explicitly via ``icrecord=``).
+        #: store wins; else ``config.remote_socket`` builds a
+        #: RemoteRecordStore over its endpoints with a local fallback;
+        #: else no store (records are passed explicitly via ``icrecord=``).
         if record_store is None and self.config.remote_socket is not None:
             from repro.server.client import make_record_store
 
@@ -221,37 +209,15 @@ class Engine:
         return self._last_run
 
     @property
-    def _last_runtime(self) -> "Runtime | None":
-        warnings.warn(
-            _LAST_RUNTIME_DEPRECATION.format(name="_last_runtime", attr="runtime"),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._last_run.runtime if self._last_run is not None else None
-
-    @property
-    def _last_feedback(self) -> "FeedbackState | None":
-        warnings.warn(
-            _LAST_RUNTIME_DEPRECATION.format(name="_last_feedback", attr="feedback"),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._last_run.feedback if self._last_run is not None else None
-
-    @property
-    def _last_script_keys(self) -> list:
-        return list(self._last_run.script_keys) if self._last_run else []
-
-    @property
     def _last_scripts(self) -> list:
         return list(self._last_run.scripts) if self._last_run else []
 
     # -- record store traffic -----------------------------------------------
 
     def _store_roundtrip(self, counters: Counters, operation):
-        """Run one store operation, folding a remote store's hit/miss/
-        fallback/eviction deltas into this run's counters.  Local stores
-        have no ``stats_snapshot`` and contribute nothing.
+        """Run one store operation, folding a remote store's stat deltas
+        into this run's ``ric_remote_*`` counters.  Local stores have no
+        ``stats_snapshot`` and contribute nothing.
 
         The fold reads global store stats, so it is only exact while one
         run is in flight; the concurrent executor skips it (aggregate
@@ -262,8 +228,6 @@ class Engine:
         result = operation()
         if before is not None:
             after = snapshot()
-            # Store stat key → run counter.  Keys a store doesn't track
-            # (e.g. "failovers" on a single-daemon client) fold nothing.
             fold = {
                 "hits": "ric_remote_hits",
                 "misses": "ric_remote_misses",
@@ -274,9 +238,8 @@ class Engine:
                 "stale_epoch": "ric_remote_stale_epoch",
             }
             for stat, counter in fold.items():
-                if stat in after and stat in before:
-                    delta = after[stat] - before[stat]
-                    setattr(counters, counter, getattr(counters, counter) + delta)
+                delta = after[stat] - before[stat]
+                setattr(counters, counter, getattr(counters, counter) + delta)
         return result
 
     def publish_records(self, counters: Counters | None = None) -> int:
@@ -307,16 +270,6 @@ class Engine:
         if counters is None:
             counters = Counters()  # throwaway sink; remote stats still tally
         return self._store_roundtrip(counters, publish)
-
-    # -- record admission ---------------------------------------------------
-
-    def _admit_record(
-        self,
-        candidate: "ICRecord | CorruptRecord",
-        counters: Counters,
-    ) -> "ICRecord | None":
-        """Gate one candidate record (see :func:`repro.core.session.admit_record`)."""
-        return admit_record(candidate, self.config, counters)
 
     # -- extraction ---------------------------------------------------------
 

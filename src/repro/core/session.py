@@ -36,7 +36,7 @@ from repro.ic.icvector import FeedbackState
 from repro.ic.miss import ICRuntime
 from repro.interpreter.vm import VM
 from repro.ric.errors import CorruptRecord, RecordFormatError
-from repro.ric.extraction import extract_icrecord
+from repro.ric.extraction import extract_icrecord, extract_per_script_records
 from repro.ric.icrecord import ICRecord
 from repro.ric.reuse import MultiReuseSession, ReuseSession
 from repro.ric.validate import validate_record
@@ -326,8 +326,6 @@ class RunSession:
 
     def extract_per_script_records(self) -> dict:
         """Per-file ICRecords from this session (paper §9)."""
-        from repro.ric.store import extract_per_script_records
-
         records = extract_per_script_records(
             self.runtime, self.feedback, config=self.config
         )

@@ -260,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return EXIT_STORE_UNAVAILABLE
         print(f"ric-run: fleet epoch is now {epoch}", file=sys.stderr)
-        missed = getattr(store, "last_bump_missed", [])
+        missed = store.last_bump_missed
         if missed:
             print(
                 f"ric-run: warning: {len(missed)} shard(s) missed the "

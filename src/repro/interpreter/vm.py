@@ -31,21 +31,22 @@ Guest instruction accounting: each dispatched bytecode charges
 dispatch count is also recorded in ``Counters.dispatches`` for the
 benchmark baseline.
 
-**Execution governance**: a VM built with an
+**Execution governance**: there is one dispatch loop
+(:meth:`VM._execute`).  A VM built with an
 :class:`~repro.core.budget.ExecutionBudget` and/or a
-:class:`~repro.core.budget.CancelToken` runs a *governed* twin of the
-dispatch loop (``_execute_governed``) that performs the full governance
+:class:`~repro.core.budget.CancelToken` performs the full governance
 check — cancellation, step/heap budgets, wall-clock deadline — every
 ``check_stride`` dispatches, paying one local integer compare per
-dispatch and the real check only at stride boundaries.  The frame-depth
-budget is enforced eagerly in :meth:`VM.call_function`, where a depth
-comparison already exists.  An ungoverned VM (the default) uses the
-original loop untouched — zero overhead.  Governance aborts raise the
-:class:`~repro.core.errors.ExecutionAborted` taxonomy, which descends
-from neither ``GuestThrow`` nor ``JSLError`` and is therefore invisible
-to guest ``try``/``catch`` — a runaway program cannot swallow its own
-termination.  Counter accounting (dispatch counts, instruction charges)
-is identical between the two loops, including on the abort path.
+dispatch and the real check only at stride boundaries.  An ungoverned
+VM (the default) pays the same compare against a stride it never
+reaches.  The frame-depth budget is enforced eagerly in
+:meth:`VM.call_function`, where a depth comparison already exists.
+Governance aborts raise the :class:`~repro.core.errors.ExecutionAborted`
+taxonomy, which descends from neither ``GuestThrow`` nor ``JSLError``
+and is therefore invisible to guest ``try``/``catch`` — a runaway
+program cannot swallow its own termination.  Counter accounting
+(dispatch counts, instruction charges) does not depend on governance or
+its stride, including on the abort path.
 """
 
 from __future__ import annotations
@@ -92,6 +93,12 @@ MAX_CALL_DEPTH = 900
 
 #: pc sentinel returned by the RETURN handler to stop the dispatch loop.
 _RETURN_PC = -1
+
+#: The governance stride of an ungoverned VM: the largest int CPython
+#: stores in one digit, because its int compare is specialized only for
+#: those.  A frame would need a billion dispatches to reach it, and then
+#: there is no meter to credit.
+_NO_STRIDE = (1 << 30) - 1
 
 #: Combined charge of an IC probe plus a handler execution — what a fast-path
 #: hit costs, identical in total to the generic path's two charges.
@@ -151,8 +158,7 @@ class VM:
         #: id(code) -> threaded instruction list for this VM.
         self._threaded_cache: dict[int, list] = {}
         #: Governance state: a BudgetMeter when this VM is governed (the
-        #: deadline arms here, at VM construction = run start), else None
-        #: and the original zero-overhead dispatch loop runs.
+        #: deadline arms here, at VM construction = run start), else None.
         self._meter: BudgetMeter | None = None
         self._depth_budget: int | None = None
         if budget is not None or cancel_token is not None:
@@ -364,19 +370,36 @@ class VM:
     # -- the dispatch loop -------------------------------------------------------
 
     def _execute(self, frame: Frame) -> object:
-        if self._meter is not None:
-            return self._execute_governed(frame)
+        """The dispatch loop.
+
+        A governed VM (see module docstring) credits a full stride to
+        its meter every ``meter.stride`` dispatches and runs the
+        governance check, which may raise a typed abort.  The remainder
+        below a stride boundary is credited quietly at frame exit, so
+        ``meter.steps_used`` is exact across nested frames.  An
+        ungoverned VM runs the same loop with a stride it never reaches
+        and no meter to credit.
+        """
         code = frame.code
         threaded = self._threaded(code)
         counters = self.counters
+        meter = self._meter
+        stride = meter.stride if meter is not None else _NO_STRIDE
 
         pc = 0
         dispatched = 0  # batched DISPATCH charges
+        next_check = stride  # dispatch count that triggers the next check
+        flushed = 0  # steps already credited to the meter
 
         try:
             while True:
                 handler, a, b = threaded[pc]
                 dispatched += 1
+                if dispatched >= next_check:
+                    next_check = dispatched + stride
+                    if meter is not None:
+                        flushed += stride
+                        meter.note_steps(stride)
                 try:
                     pc = handler(frame, a, b, pc + 1)
                     if pc < 0:
@@ -420,81 +443,10 @@ class VM:
         finally:
             counters.dispatches += dispatched
             counters.charge(CATEGORY_EXECUTE, cost.DISPATCH * dispatched)
-
-    def _execute_governed(self, frame: Frame) -> object:
-        """The dispatch loop's governed twin (see module docstring).
-
-        Identical to :meth:`_execute` except for the stride bookkeeping:
-        every ``meter.stride`` dispatches the frame credits a full stride
-        to the meter and runs the governance check (which may raise a
-        typed abort).  The remainder below a stride boundary is credited
-        quietly at frame exit, so ``meter.steps_used`` is exact across
-        nested frames.  Counter accounting (``dispatches``, DISPATCH
-        charges) matches the ungoverned loop bytecode-for-bytecode.
-        """
-        code = frame.code
-        threaded = self._threaded(code)
-        counters = self.counters
-        meter = self._meter
-        assert meter is not None
-        stride = meter.stride
-
-        pc = 0
-        dispatched = 0  # batched DISPATCH charges
-        next_check = stride  # dispatch count that triggers the next check
-        flushed = 0  # steps already credited to the meter
-
-        try:
-            while True:
-                handler, a, b = threaded[pc]
-                dispatched += 1
-                if dispatched >= next_check:
-                    next_check = dispatched + stride
-                    flushed += stride
-                    meter.note_steps(stride)
-                try:
-                    pc = handler(frame, a, b, pc + 1)
-                    if pc < 0:
-                        return frame.return_value
-                except GuestThrow as thrown:
-                    if not frame.try_stack:
-                        if thrown.position is None:
-                            thrown.position = code.position_at(pc)
-                        thrown.trace.append(
-                            f"at {code.name} ({code.position_at(pc)})"
-                        )
-                        raise
-                    target, depth = frame.try_stack.pop()
-                    stack = frame.stack
-                    del stack[depth:]
-                    stack.append(thrown.value)
-                    pc = target
-                except JSLRuntimeError as error:
-                    if not frame.try_stack:
-                        if error.position is None:
-                            error.position = code.position_at(pc)
-                        if not hasattr(error, "guest_trace"):
-                            error.guest_trace = []  # type: ignore[attr-defined]
-                        error.guest_trace.append(  # type: ignore[attr-defined]
-                            f"at {code.name} ({code.position_at(pc)})"
-                        )
-                        raise
-                    target, depth = frame.try_stack.pop()
-                    stack = frame.stack
-                    del stack[depth:]
-                    name = type(error).__name__
-                    if name.startswith("JSL"):
-                        name = name[3:]
-                    if name == "RuntimeError":
-                        name = "Error"
-                    stack.append(self._make_guest_error(name, error.message))
-                    pc = target
-        finally:
-            counters.dispatches += dispatched
-            counters.charge(CATEGORY_EXECUTE, cost.DISPATCH * dispatched)
-            # Quiet credit: checking here could raise while another
-            # exception is already unwinding and mask it.
-            meter.note_steps_quiet(dispatched - flushed)
+            if meter is not None:
+                # Quiet credit: checking here could raise while another
+                # exception is already unwinding and mask it.
+                meter.note_steps_quiet(dispatched - flushed)
 
     # -- dispatch handlers -------------------------------------------------------
     #

@@ -11,15 +11,29 @@ sources:
    find, for each hidden class, the sites that encountered it and the
    handlers they used, which become the HCVT's Dependent lists.
 
+One routine, :func:`_extract`, builds both record kinds.  They differ
+only in which hidden classes become HCVT rows and which sites are read:
+
+* a **whole-run** record (:func:`extract_icrecord`) has a row for every
+  hidden class, numbered by creation index, and reads every site;
+* a **per-file** record (:func:`extract_per_script_records`, paper §9)
+  has rows for the builtins, the file's own classes and the native
+  transitions they pull in, renumbered record-locally (global creation
+  indices are an artifact of one page's load order and would not
+  transfer), and reads only the file's sites — cross-file links are
+  dropped, a sound and conservative choice.
+
 Global-object state is excluded (paper §6), as are hidden classes whose
-creator key is ambiguous within the run (the creation key must identify the
-transition uniquely for validation to be sound).
+creation key is ambiguous within the run: a key that made more than one
+class for the same (incoming, property) cannot identify any of them, so
+none enters the TOAST and no site is linked to any of them.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 
 from repro.bytecode.code import FeedbackSlotInfo, SiteKind
 from repro.core.config import RICConfig
@@ -38,8 +52,10 @@ from repro.ric.icrecord import (
     SiteFeedback,
     SiteSlot,
     ToastPair,
+    filename_of_creation_key,
 )
 from repro.runtime.context import Runtime
+from repro.runtime.hidden_class import HiddenClass
 from repro.specialize.feedback import collect_arith_feedback, demotion_tombstones
 
 #: Creation-key prefixes that are never reusable across executions.
@@ -52,66 +68,135 @@ def extract_icrecord(
     config: RICConfig | None = None,
     script_keys: list[str] | None = None,
 ) -> ICRecord:
-    """Build an :class:`ICRecord` from a completed Initial run."""
-    config = config or RICConfig()
+    """Build a whole-run :class:`ICRecord` from a completed Initial run."""
     start = time.perf_counter()
-
-    record = ICRecord(script_keys=list(script_keys or []))
-
-    # HCIDs are creation-order indices; the registry preserved them.
     classes = runtime.hidden_classes.all_classes
-    record.hcvt = [HCVTRow(hcid=index) for index in range(len(classes))]
+    record = _extract(classes, feedback, _reusable(feedback, config or RICConfig()))
+    record.script_keys = list(script_keys or [])
+    record.extraction_time_ms = (time.perf_counter() - start) * 1000.0
+    return record
 
-    global_site_keys = _global_site_keys(feedback, config)
+
+def extract_per_script_records(
+    runtime: Runtime,
+    feedback: FeedbackState,
+    config: RICConfig | None = None,
+) -> dict[str, ICRecord]:
+    """Split a completed run's IC information into per-file records."""
+    classes = runtime.hidden_classes.all_classes
+    reusable = _reusable(feedback, config or RICConfig())
+    filenames = sorted(
+        {
+            name
+            for hc in classes
+            if (name := filename_of_creation_key(hc.creation_key)) is not None
+        }
+    )
+    return {
+        filename: _extract(
+            _file_classes(filename, classes, reusable),
+            feedback,
+            reusable,
+            filename,
+        )
+        for filename in filenames
+    }
+
+
+def _reusable(feedback: FeedbackState, config: RICConfig):
+    """Predicate: may this hidden class's creation key enter a TOAST?
+
+    Unless ``config.include_global_ics``, the global object and the
+    classes global-access sites made are excluded (paper §6)."""
+    global_keys: set[str] = set()
+    if not config.include_global_ics:
+        global_keys.add("builtin:global")
+        global_keys.update(
+            site.info.site_key
+            for site in feedback.all_sites()
+            if site.info.kind in (SiteKind.GLOBAL_LOAD, SiteKind.GLOBAL_STORE)
+        )
+
+    def reusable(hc: HiddenClass) -> bool:
+        key = hc.creation_key
+        return not key.startswith(_EXCLUDED_KEY_PREFIXES) and key not in global_keys
+
+    return reusable
+
+
+def _file_classes(
+    filename: str, classes: list[HiddenClass], reusable
+) -> list[HiddenClass]:
+    """The rows of one file's record, in creation order.
+
+    Builtins and this file's creations seed the set; native-created
+    transitions join when their incoming class already did (e.g.
+    Object.assign extending this file's objects).  An incoming class is
+    always created before its transitions, so one pass in creation order
+    closes the set.
+    """
+    chosen: set[int] = set()
+    rows: list[HiddenClass] = []
+    for hc in classes:
+        if not reusable(hc):
+            continue
+        if hc.creation_key.startswith("native:"):
+            keep = hc.incoming is not None and hc.incoming.index in chosen
+        else:
+            owner = filename_of_creation_key(hc.creation_key)
+            keep = owner is None or owner == filename
+        if keep:
+            chosen.add(hc.index)
+            rows.append(hc)
+    return rows
+
+
+def _extract(
+    rows: list[HiddenClass],
+    feedback: FeedbackState,
+    reusable,
+    filename: str | None = None,
+) -> ICRecord:
+    """Build one record whose HCVT row ``i`` is ``rows[i]``.
+
+    ``filename`` restricts the sites and arithmetic profiles read to
+    that file's (a per-file record); ``None`` reads them all.
+    """
+    local_id = {hc.index: local for local, hc in enumerate(rows)}
+    record = ICRecord(script_keys=[filename] if filename is not None else [])
+    record.hcvt = [HCVTRow(hcid=local) for local in range(len(rows))]
 
     # ---- TOAST -------------------------------------------------------------
-    # Group creations by key first: a key that produced more than one hidden
-    # class for the same (incoming, property) is ambiguous and skipped.
+    # Rows no TOAST entry may name, and so no site may be linked to.
+    excluded: set[int] = set()
     pairs_by_key: dict[str, list[ToastPair]] = {}
-    excluded_hcids: set[int] = set()
-    for hc in classes:
-        key = hc.creation_key
-        if key.startswith(_EXCLUDED_KEY_PREFIXES):
-            excluded_hcids.add(hc.index)
+    for hc in rows:
+        local = local_id[hc.index]
+        if not reusable(hc):
+            excluded.add(local)
             continue
-        if not config.include_global_ics:
-            if key == "builtin:global" or key in global_site_keys:
-                excluded_hcids.add(hc.index)
-                continue
         if hc.creation_kind in ("builtin", "ctor"):
-            pair = ToastPair(
-                incoming_hcid=None,
-                transition_property=None,
-                outgoing_hcid=hc.index,
-            )
+            pair = ToastPair(None, None, local)
         else:
             assert hc.incoming is not None
-            pair = ToastPair(
-                incoming_hcid=hc.incoming.index,
-                transition_property=hc.transition_property,
-                outgoing_hcid=hc.index,
-            )
-        pairs_by_key.setdefault(key, []).append(pair)
+            incoming = local_id.get(hc.incoming.index)
+            if incoming is None:
+                continue  # incoming outside this record: unlinkable
+            pair = ToastPair(incoming, hc.transition_property, local)
+        pairs_by_key.setdefault(hc.creation_key, []).append(pair)
 
     for key, pairs in pairs_by_key.items():
-        deduped: list[ToastPair] = []
-        seen: dict[tuple, int] = {}
-        ambiguous: set[tuple] = set()
+        # A key that produced more than one class for the same
+        # (incoming, property) is ambiguous: every such class is dropped.
+        signatures = Counter(
+            (pair.incoming_hcid, pair.transition_property) for pair in pairs
+        )
+        kept = []
         for pair in pairs:
-            signature = (pair.incoming_hcid, pair.transition_property)
-            if signature in seen:
-                ambiguous.add(signature)
+            if signatures[(pair.incoming_hcid, pair.transition_property)] > 1:
+                excluded.add(pair.outgoing_hcid)
             else:
-                seen[signature] = pair.outgoing_hcid
-                deduped.append(pair)
-        kept = [
-            pair
-            for pair in deduped
-            if (pair.incoming_hcid, pair.transition_property) not in ambiguous
-        ]
-        for pair in deduped:
-            if (pair.incoming_hcid, pair.transition_property) in ambiguous:
-                excluded_hcids.add(pair.outgoing_hcid)
+                kept.append(pair)
         if kept:
             record.toast[key] = kept
 
@@ -131,28 +216,27 @@ def extract_icrecord(
         info = site.info
         if info.kind not in (SiteKind.NAMED_LOAD, SiteKind.NAMED_STORE):
             continue  # keyed + global sites are not linked (paper §6)
+        if filename is not None and info.position.filename != filename:
+            continue
         # site.slots is in final probe (MRU) order; persist it in that
         # order so a Reuse run's warmed site probes hottest-shape-first
         # (record.site_slots, format v4).  Megamorphic sites hold no
         # slots and thus persist nothing — they re-learn, by design.
+        # Shapes without a row here (another file's) drop out: a
+        # per-file record persists the polymorphic degree its file can
+        # re-validate on its own.
         slot_entries: list[SiteSlot] = []
         for hc, handler in site.slots:
-            if hc.index in excluded_hcids or hc.index >= len(record.hcvt):
+            local = local_id.get(hc.index)
+            if local is None or local in excluded:
                 continue
-            row = record.hcvt[hc.index]
+            row = record.hcvt[local]
             if handler.is_context_independent:
                 serialized = handler.serialize()
                 assert serialized is not None
                 handler_id = intern_handler(serialized)
-                row.dependents.append(
-                    DependentEntry(
-                        site_key=info.site_key,
-                        handler_id=handler_id,
-                    )
-                )
-                slot_entries.append(
-                    SiteSlot(hcid=hc.index, handler_id=handler_id)
-                )
+                row.dependents.append(DependentEntry(info.site_key, handler_id))
+                slot_entries.append(SiteSlot(local, handler_id))
             elif not isinstance(handler, StoreTransitionHandler):
                 # Context-dependent non-transitioning handler: RIC cannot
                 # preload this site, and its Reuse miss is attributed to the
@@ -169,11 +253,11 @@ def extract_icrecord(
     # Property entries were emitted site-by-site above; arithmetic masks
     # come from the ICVectors' recorder lists, and sites whose typed
     # guard failed during this run override everything with a tombstone.
-    record.site_feedback.update(collect_arith_feedback(feedback))
-    for key, tombstone in demotion_tombstones(feedback.demoted_sites):
-        record.site_feedback[key] = tombstone
-
-    record.extraction_time_ms = (time.perf_counter() - start) * 1000.0
+    # Both key shapes start with the declaring filename, which is what
+    # the per-file filters cut on.
+    record.site_feedback.update(collect_arith_feedback(feedback, filename=filename))
+    demoted = demotion_tombstones(feedback.demoted_sites, filename=filename)
+    record.site_feedback.update(demoted)
     return record
 
 
@@ -184,8 +268,8 @@ def prop_site_feedback(
 
     Persistently monomorphic sites whose single handler is a plain field
     access become positive entries — ``hcid`` is taken from the already
-    record-local ``slot_entries``, so the whole-run and per-file
-    extractors remap identically to their ``site_slots``.  Megamorphic
+    record-local ``slot_entries``, so it is remapped exactly like
+    ``site_slots``.  Megamorphic
     sites become tombstones (the site thrashed; quickening it would
     guarantee deopts).  Polymorphic, uninitialized, excluded-class and
     exotic-handler sites yield nothing: they are not specializable, but
@@ -220,14 +304,3 @@ def prop_site_feedback(
                 offset=handler.offset,
             )
     return None
-
-
-def _global_site_keys(feedback: FeedbackState, config: RICConfig) -> set[str]:
-    """Site keys of global-object access sites (excluded from RIC)."""
-    if config.include_global_ics:
-        return set()
-    return {
-        site.info.site_key
-        for site in feedback.all_sites()
-        if site.info.kind in (SiteKind.GLOBAL_LOAD, SiteKind.GLOBAL_STORE)
-    }

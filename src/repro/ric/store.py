@@ -5,14 +5,11 @@ is maintained for each JavaScript file.  Therefore, the IC information for
 a library can be shared by different applications."*  This module makes
 that a first-class capability:
 
-* :func:`extract_per_script_records` splits a completed run's IC
-  information into one self-contained :class:`~repro.ric.icrecord.ICRecord`
-  per script file.  Each record renumbers hidden classes into a
-  record-local HCID space (global creation indices are an artifact of one
-  specific page's load order and would not transfer), keeps the TOAST
-  entries whose creators belong to that file (plus the builtins, which are
-  shared), and keeps only Dependent sites inside the same file —
-  cross-file links are dropped, a sound and conservative choice.
+* :func:`extract_per_script_records` (defined in
+  :mod:`repro.ric.extraction`, re-exported here) splits a completed run's
+  IC information into one self-contained
+  :class:`~repro.ric.icrecord.ICRecord` per script file, in a
+  record-local HCID space.
 * :class:`RecordStore` holds per-script records keyed by (filename,
   source hash), with directory persistence — the browser-cache shape.
 * At reuse time, the engine runs one
@@ -32,205 +29,20 @@ import typing
 from pathlib import Path
 
 from repro.bytecode.cache import source_hash
-from repro.bytecode.code import SiteKind
-from repro.core.config import RICConfig
-from repro.ic.handlers import StoreTransitionHandler
-from repro.ic.icvector import FeedbackState
 from repro.ric.atomicio import atomic_write_text, file_lock
 from repro.ric.errors import RecordFormatError
-from repro.ric.extraction import _global_site_keys, prop_site_feedback
-from repro.ric.icrecord import (
-    DependentEntry,
-    HCVTRow,
-    ICRecord,
-    SiteSlot,
-    ToastPair,
-    filename_of_creation_key,
-)
+from repro.ric.extraction import extract_per_script_records
+from repro.ric.icrecord import ICRecord, filename_of_creation_key
 from repro.ric.serialize import record_from_envelope, record_to_envelope
 
 logger = logging.getLogger(__name__)
-from repro.runtime.context import Runtime
-from repro.runtime.hidden_class import HiddenClass
 
-#: Creation-key prefixes never reusable across executions (mirrors
-#: repro.ric.extraction).
-_EXCLUDED_KEY_PREFIXES = ("builtin:thrown:", "builtin:Dictionary")
-
-
-def extract_per_script_records(
-    runtime: Runtime,
-    feedback: FeedbackState,
-    config: RICConfig | None = None,
-) -> dict[str, ICRecord]:
-    """Split a completed run's IC information into per-file records."""
-    config = config or RICConfig()
-    classes = runtime.hidden_classes.all_classes
-    global_site_keys = _global_site_keys(feedback, config)
-
-    filenames = sorted(
-        {
-            name
-            for hc in classes
-            if (name := filename_of_creation_key(hc.creation_key)) is not None
-        }
-    )
-    records: dict[str, ICRecord] = {}
-    for filename in filenames:
-        records[filename] = _extract_for_file(
-            filename, classes, feedback, config, global_site_keys
-        )
-    return records
-
-
-def _extract_for_file(
-    filename: str,
-    classes: list[HiddenClass],
-    feedback: FeedbackState,
-    config: RICConfig,
-    global_site_keys: set[str],
-) -> ICRecord:
-    # --- choose the hidden classes this record covers -----------------------
-    # Builtins and this file's creations seed the set; native-created
-    # transitions are pulled in transitively when their incoming class is
-    # already covered (e.g. Object.assign extending this file's objects).
-    included: dict[int, HiddenClass] = {}
-
-    def eligible(hc: HiddenClass) -> bool:
-        key = hc.creation_key
-        if key.startswith(_EXCLUDED_KEY_PREFIXES):
-            return False
-        if not config.include_global_ics:
-            if key == "builtin:global" or key in global_site_keys:
-                return False
-        return True
-
-    for hc in classes:
-        if not eligible(hc):
-            continue
-        owner = filename_of_creation_key(hc.creation_key)
-        if owner is None and not hc.creation_key.startswith("native:"):
-            included[hc.index] = hc  # builtin
-        elif owner == filename:
-            included[hc.index] = hc
-
-    changed = True
-    while changed:
-        changed = False
-        for hc in classes:
-            if hc.index in included or not eligible(hc):
-                continue
-            if (
-                hc.creation_key.startswith("native:")
-                and hc.incoming is not None
-                and hc.incoming.index in included
-            ):
-                included[hc.index] = hc
-                changed = True
-
-    # --- record-local HCIDs ------------------------------------------------------
-    ordered = [classes[index] for index in sorted(included)]
-    local_id = {hc.index: local for local, hc in enumerate(ordered)}
-
-    record = ICRecord(script_keys=[filename])
-    record.hcvt = [HCVTRow(hcid=local) for local in range(len(ordered))]
-
-    # --- TOAST (deduplicated per (incoming, property) as in extraction) ---------
-    pairs_by_key: dict[str, list[ToastPair]] = {}
-    for hc in ordered:
-        if hc.creation_kind in ("builtin", "ctor"):
-            pair = ToastPair(None, None, local_id[hc.index])
-        else:
-            assert hc.incoming is not None
-            if hc.incoming.index not in local_id:
-                continue  # incoming outside this record: unlinkable
-            pair = ToastPair(
-                local_id[hc.incoming.index],
-                hc.transition_property,
-                local_id[hc.index],
-            )
-        pairs_by_key.setdefault(hc.creation_key, []).append(pair)
-
-    for key, pairs in pairs_by_key.items():
-        seen: set[tuple] = set()
-        ambiguous: set[tuple] = set()
-        for pair in pairs:
-            signature = (pair.incoming_hcid, pair.transition_property)
-            if signature in seen:
-                ambiguous.add(signature)
-            seen.add(signature)
-        kept = [
-            pair
-            for pair in pairs
-            if (pair.incoming_hcid, pair.transition_property) not in ambiguous
-        ]
-        if kept:
-            record.toast[key] = kept
-
-    # --- dependents: only sites inside this file --------------------------------
-    handler_ids: dict[str, int] = {}
-
-    def intern_handler(serialized: dict) -> int:
-        text = json.dumps(serialized, sort_keys=True)
-        handler_id = handler_ids.get(text)
-        if handler_id is None:
-            handler_id = len(record.handlers)
-            handler_ids[text] = handler_id
-            record.handlers.append(serialized)
-        return handler_id
-
-    for site in feedback.all_sites():
-        info = site.info
-        if info.kind not in (SiteKind.NAMED_LOAD, SiteKind.NAMED_STORE):
-            continue
-        if info.position.filename != filename:
-            continue
-        # Per-site slot sets (format v4), in final probe order, with hcids
-        # remapped to this record's local row numbering.  Shapes created
-        # by other files are simply absent from the local map and drop
-        # out — the per-file record persists the polymorphic degree this
-        # file can re-validate on its own.
-        slot_entries: list[SiteSlot] = []
-        for hc, handler in site.slots:
-            local = local_id.get(hc.index)
-            if local is None:
-                continue
-            row = record.hcvt[local]
-            if handler.is_context_independent:
-                serialized = handler.serialize()
-                assert serialized is not None
-                handler_id = intern_handler(serialized)
-                row.dependents.append(
-                    DependentEntry(info.site_key, handler_id)
-                )
-                slot_entries.append(SiteSlot(local, handler_id))
-            elif not isinstance(handler, StoreTransitionHandler):
-                row.cd_dependent_sites.append(info.site_key)
-        if slot_entries:
-            record.site_slots[info.site_key] = slot_entries
-        # v5 site feedback, hcid-remapped via the (already record-local)
-        # slot entries exactly like site_slots.
-        feedback_entry = prop_site_feedback(site, slot_entries)
-        if feedback_entry is not None:
-            record.site_feedback[info.site_key] = feedback_entry
-
-    # Arithmetic profiles of code declared in this file, plus tombstones
-    # for this file's demoted sites (both key shapes start with the
-    # declaring filename, which is what the filters cut on).
-    from repro.specialize.feedback import (
-        collect_arith_feedback,
-        demotion_tombstones,
-    )
-
-    record.site_feedback.update(
-        collect_arith_feedback(feedback, filename=filename)
-    )
-    for key, tombstone in demotion_tombstones(
-        feedback.demoted_sites, filename=filename
-    ):
-        record.site_feedback[key] = tombstone
-
-    return record
+__all__ = [
+    "RecordStore",
+    "RecordStoreProtocol",
+    "extract_per_script_records",
+    "filename_of_creation_key",
+]
 
 
 @typing.runtime_checkable
@@ -238,8 +50,9 @@ class RecordStoreProtocol(typing.Protocol):
     """What the engine and CLIs require of a record store.
 
     Satisfied by the local :class:`RecordStore`, the fault-injecting
-    :class:`~repro.faults.faulty_store.FaultyRecordStore`, and the
-    daemon-backed :class:`~repro.server.client.RemoteRecordStore` — the
+    :class:`~repro.faults.faulty_store.FaultyRecordStore`, and
+    :class:`~repro.server.client.RemoteRecordStore`, which serves one
+    ricd daemon or a sharded fleet of them through the same code — the
     store a run uses is a deployment decision, not a code path.
     """
 

@@ -13,22 +13,23 @@ account; this package realizes it *across processes*:
   :func:`~repro.ric.validate.validate_record` gate so one client can
   never poison another.
 * :class:`RemoteRecordStore` plugs in wherever a ``RecordStore`` does
-  (it satisfies :class:`~repro.ric.store.RecordStoreProtocol`) and
-  degrades gracefully: on connect/timeout/protocol error it falls back
-  to a local store, bumps the ``ric_remote_*`` counters, and never
-  fails the run.
-* :class:`ShardedRecordStore` scales that to a *fleet*: a
-  consistent-hash ring (:class:`HashRing`) of N daemons with
-  replication factor R — PUT fan-out, GET failover, per-shard circuit
-  breakers, and epoch-based fleet-wide invalidation (``EVICT_EPOCH`` +
-  :class:`EpochClock` gossip) so invalidated records die on every
-  shard and replica.
+  (it satisfies :class:`~repro.ric.store.RecordStoreProtocol`) over one
+  daemon or a *fleet*: a consistent-hash ring (:class:`HashRing`) of N
+  daemons with replication factor R — PUT fan-out, GET failover, and
+  epoch-based fleet-wide invalidation (``EVICT_EPOCH`` +
+  :class:`EpochClock` gossip) so invalidated records die on every shard
+  and replica.  Each daemon is reached through a transport-only
+  :class:`EndpointClient` with its own retry budget and circuit
+  breaker.  The store degrades gracefully: when no replica answers it
+  falls back to a local store, bumps the ``ric_remote_*`` counters,
+  and never fails the run.
 
 Wire format and degradation ladder: :mod:`repro.server.protocol` and
-docs/INTERNALS.md §9 (single daemon) / §12 (fleet).
+docs/INTERNALS.md §9 (daemon and store) / §12 (ring, replicas, epochs).
 """
 
 from repro.server.client import (
+    EndpointClient,
     EpochClock,
     RemoteProtoMismatch,
     RemoteRecordStore,
@@ -37,7 +38,7 @@ from repro.server.client import (
 )
 from repro.server.daemon import RecordCacheDaemon
 from repro.server.lru import LRUCache
-from repro.server.sharding import HashRing, ShardedRecordStore
+from repro.server.sharding import HashRing
 from repro.server.supervisor import Supervisor
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
@@ -52,6 +53,7 @@ from repro.server.protocol import (
 )
 
 __all__ = [
+    "EndpointClient",
     "EpochClock",
     "HashRing",
     "LRUCache",
@@ -62,7 +64,6 @@ __all__ = [
     "RemoteProtoMismatch",
     "RemoteRecordStore",
     "RemoteStoreError",
-    "ShardedRecordStore",
     "Supervisor",
     "cache_key",
     "connect_endpoint",

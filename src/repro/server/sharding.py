@@ -1,52 +1,16 @@
-"""``ShardedRecordStore`` — consistent-hash routing over a ricd fleet.
+"""``HashRing`` — consistent-hash placement of records over a ricd fleet.
 
-One engine process, N record-cache daemons: each record's key is placed
-on a consistent-hash ring (:class:`HashRing`, SHA-1 points, virtual
-nodes so load stays even at small N) and owned by the first R distinct
-endpoints clockwise — the **preference list**.  PUTs fan out to all R
-replicas; GETs ask the primary and fail over down the list, so one dead
-shard degrades only its arc of the ring instead of the whole fleet.
-
-Each endpoint is wrapped in its own :class:`~repro.server.client.
-RemoteRecordStore`, which contributes the per-shard machinery this
-router deliberately does not reimplement: retry budget, circuit
-breaker, single connection per shard, envelope re-verification, and
-epoch fencing.  The router composes their *stat-free* primitives
-(``remote_get``/``remote_put``) and keeps its own **logical** stats —
-one outcome per logical operation, however many replicas were probed —
-so ``ric_remote_hits`` still means "records the fleet supplied", not
-"wire round-trips that happened".  The exception is ``failovers``,
-which counts replica hops explicitly: it is *the* signal that a shard
-is absorbing its neighbour's arc.
-
-All shard clients share one :class:`~repro.server.client.EpochClock`,
-so a fleet epoch learned from any shard immediately fences stale hits
-from every other shard — the property that makes ``--bump-epoch``
-safe under partitions: a lagging replica can answer, but its pre-bump
-records are refused client-side (and the gossiped epoch invalidates the
-replica itself on contact).
-
-The degradation ladder is unchanged from the single-daemon client: when
-every replica of a key is unreachable the shared local fallback store
-absorbs the request, the run completes with identical output, and only
-``ric_remote_*`` counters move.  Satisfies
-:class:`~repro.ric.store.RecordStoreProtocol`.
+:class:`~repro.server.client.RemoteRecordStore` places each record's key
+on this ring (SHA-1 points, virtual nodes so load stays even at small N)
+and treats the first R distinct endpoints clockwise as its owners — the
+**preference list**: PUTs fan out to all of them, GETs ask the primary
+and fail over down the list.  One endpoint is a ring of one.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-import logging
-import threading
-import typing
-
-from repro.bytecode.cache import source_hash
-from repro.ric.icrecord import ICRecord
-from repro.ric.store import RecordStore
-from repro.server.client import EpochClock, RemoteRecordStore, _GetFlight
-
-logger = logging.getLogger(__name__)
 
 
 class HashRing:
@@ -107,299 +71,3 @@ class HashRing:
     def primary(self, key: str) -> "str | None":
         owners = self.preference(key, 1)
         return owners[0] if owners else None
-
-
-class ShardedRecordStore:
-    """Consistent-hash router over N ricd endpoints, replication R."""
-
-    def __init__(
-        self,
-        endpoints,
-        fallback: "RecordStore | None" = None,
-        replication: int = 2,
-        vnodes: int = 64,
-        timeout_s: float = 0.5,
-        retry_after_s: float = 1.0,
-        retries: int = 1,
-        backoff_s: float = 0.05,
-        request_deadline_s: float = 2.0,
-        retry_seed: "int | None" = None,
-    ):
-        self.ring = HashRing(endpoints, vnodes=vnodes)
-        if not len(self.ring):
-            raise ValueError("ShardedRecordStore needs at least one endpoint")
-        self.fallback = fallback if fallback is not None else RecordStore()
-        #: Effective replication factor, clamped to the fleet size.
-        self.replication = max(1, min(replication, len(self.ring)))
-        #: One fleet-wide epoch register shared by every shard client.
-        self.epoch_clock = EpochClock()
-        #: endpoint spec → its circuit-breakered client.  Clients get the
-        #: shared fallback only so nothing builds a throwaway store; the
-        #: router consults the fallback itself (remote_get/remote_put
-        #: never touch it).
-        self.clients: "dict[str, RemoteRecordStore]" = {
-            spec: RemoteRecordStore(
-                spec,
-                fallback=self.fallback,
-                timeout_s=timeout_s,
-                retry_after_s=retry_after_s,
-                retries=retries,
-                backoff_s=backoff_s,
-                request_deadline_s=request_deadline_s,
-                retry_seed=retry_seed,
-                epoch_clock=self.epoch_clock,
-            )
-            for spec in self.ring.endpoints
-        }
-        #: Logical stats: one outcome per logical op.  ``failovers``
-        #: counts replica hops; ``retries``/``proto_mismatch`` are
-        #: summed from the shard clients at snapshot time (they are
-        #: counted where they happen).
-        self.stats: "dict[str, int]" = {
-            "hits": 0,
-            "misses": 0,
-            "fallbacks": 0,
-            "evictions": 0,
-            "puts": 0,
-            "puts_rejected": 0,
-            "retries": 0,
-            "proto_mismatch": 0,
-            "stale_epoch": 0,
-            "failovers": 0,
-        }
-        self._stats_lock = threading.Lock()
-        self._get_flights: "dict[tuple[str, str], _GetFlight]" = {}
-        self._flight_lock = threading.Lock()
-        #: Endpoints that missed the most recent :meth:`bump_epoch`
-        #: broadcast (unreachable at the time).  Until they are re-bumped
-        #: or gossip reaches them, a *fresh* client whose first contact
-        #: is such a shard can still be served pre-bump records.
-        self.last_bump_missed: "list[str]" = []
-
-    # -- routing -------------------------------------------------------------
-
-    def _route_key(self, filename: str, src_hash: str) -> str:
-        return f"{filename}:{src_hash}"
-
-    def owners(self, filename: str, source: str) -> "list[RemoteRecordStore]":
-        """The preference list for one record: primary first, then the
-        failover replicas."""
-        key = self._route_key(filename, source_hash(source))
-        return [
-            self.clients[spec]
-            for spec in self.ring.preference(key, self.replication)
-        ]
-
-    def _count(self, stat: str, amount: int = 1) -> None:
-        with self._stats_lock:
-            self.stats[stat] += amount
-
-    # -- the store interface -------------------------------------------------
-
-    def get(self, filename: str, source: str) -> "ICRecord | None":
-        """Primary-then-replicas GET, single-flighted per record."""
-        flight_key = (filename, source_hash(source))
-        with self._flight_lock:
-            flight = self._get_flights.get(flight_key)
-            if flight is None:
-                flight = _GetFlight()
-                self._get_flights[flight_key] = flight
-                leader = True
-            else:
-                leader = False
-        if not leader:
-            flight.event.wait()
-            if flight.stat is not None:
-                self._count(flight.stat)
-            return flight.record
-        try:
-            record, stat = self._get_once(filename, source)
-            flight.record = record
-            flight.stat = stat
-            return record
-        finally:
-            with self._flight_lock:
-                self._get_flights.pop(flight_key, None)
-            flight.event.set()
-
-    def _get_once(
-        self, filename: str, source: str
-    ) -> "tuple[ICRecord | None, str]":
-        for hop, client in enumerate(self.owners(filename, source)):
-            if hop:
-                self._count("failovers")
-            outcome, record = client.remote_get(filename, source)
-            if outcome == "hit":
-                self._count("hits")
-                # Write-back: what the fleet taught us survives it.
-                self.fallback.put(filename, source, record)
-                return record, "hits"
-            if outcome == "miss":
-                # A live owner's miss is authoritative: replicas hold
-                # copies of the same arc, not extra records.  (A replica
-                # that restarted empty re-warms via PUT fan-out.)
-                self._count("misses")
-                return self.fallback.get(filename, source), "misses"
-            if outcome == "stale":
-                # Epoch fencing: the record predates a fleet bump.  The
-                # fallback's copy is equally pre-bump — answer nothing.
-                self._count("stale_epoch")
-                return None, "stale_epoch"
-            # "error"/"mismatch": this shard is unusable — try the next
-            # replica on the preference list.
-        self._count("fallbacks")
-        return self.fallback.get(filename, source), "fallbacks"
-
-    def put(self, filename: str, source: str, record: ICRecord) -> None:
-        """Write-through local, then fan out to every replica."""
-        self.fallback.put(filename, source, record)
-        stored = 0
-        evicted_total = 0
-        rejected = stale = False
-        for client in self.owners(filename, source):
-            outcome, evicted = client.remote_put(filename, source, record)
-            if outcome == "stored":
-                stored += 1
-                evicted_total += evicted or 0
-            elif outcome == "rejected":
-                rejected = True
-            elif outcome == "stale":
-                stale = True
-        # One logical outcome per PUT, best news wins: any replica
-        # storing it means the fleet has it.
-        if stored:
-            self._count("puts")
-            if evicted_total:
-                self._count("evictions", evicted_total)
-        elif stale:
-            self._count("stale_epoch")
-        elif rejected:
-            self._count("puts_rejected")
-        else:
-            self._count("fallbacks")
-
-    def records_for(self, scripts) -> "list[ICRecord]":
-        found = []
-        for filename, source in scripts:
-            record = self.get(filename, source)
-            if record is not None:
-                found.append(record)
-        return found
-
-    def __len__(self) -> int:
-        counts = [
-            count
-            for count in (
-                client.remote_len() for client in self.clients.values()
-            )
-            if count is not None
-        ]
-        if not counts:
-            return len(self.fallback)
-        # Replicas hold copies, so a plain sum double-counts; the
-        # per-shard maximum is the honest lower bound on distinct
-        # records without a full key scan.
-        return max(counts)
-
-    def status(self) -> dict:
-        """Fleet status: ring shape, per-shard remote STAT (``None`` for
-        an unreachable shard), the router's logical stats, and the local
-        fallback — shape documented in INTERNALS §12."""
-        shards = []
-        for spec in self.ring.endpoints:
-            client = self.clients[spec]
-            shards.append(
-                {
-                    "endpoint": spec,
-                    "remote": client.remote_stat(),
-                    "client": client.stats_snapshot(),
-                }
-            )
-        return {
-            "endpoints": self.ring.endpoints,
-            "replication": self.replication,
-            "epoch": self.epoch_clock.value,
-            "shards": shards,
-            "client": self.stats_snapshot(),
-            "local": self.fallback.status(),
-        }
-
-    # -- extras --------------------------------------------------------------
-
-    @property
-    def load_errors(self) -> list:
-        return self.fallback.load_errors
-
-    @property
-    def epoch(self) -> int:
-        return self.epoch_clock.value
-
-    def ping(self) -> bool:
-        """True iff at least one shard answers — the fleet is 'up' as
-        long as any arc is being served."""
-        return any(client.ping() for client in self.clients.values())
-
-    def bump_epoch(self, epoch: "int | None" = None) -> "int | None":
-        """Fleet-wide invalidation broadcast (``ric-run --bump-epoch``).
-
-        Learns the fleet's highest epoch (STAT every shard — the shared
-        clock gossips it in), targets highest + 1 unless an explicit
-        epoch is given, then sends ``EVICT_EPOCH`` to *every* endpoint —
-        not just R owners, because every shard holds some arc.  Returns
-        the new epoch if at least one shard acknowledged, else ``None``.
-        A partitioned shard that missed the broadcast self-invalidates
-        via gossip on its first contact with an up-to-date client — but
-        a *fresh* client (epoch clock still 0) whose first contact is
-        the laggard has no epoch to gossip, so endpoints that missed the
-        broadcast are recorded in :attr:`last_bump_missed` and warned
-        about: the operator should re-issue the bump once they rejoin.
-        """
-        if epoch is None:
-            for client in self.clients.values():
-                client.remote_stat()  # advances the shared clock
-            epoch = self.epoch_clock.value + 1
-        acknowledged: "int | None" = None
-        missed: "list[str]" = []
-        for spec, client in self.clients.items():
-            result = client.bump_epoch(epoch)
-            if result is not None:
-                acknowledged = max(acknowledged or 0, result)
-            else:
-                missed.append(spec)
-        self.last_bump_missed = missed
-        if missed and acknowledged is not None:
-            logger.warning(
-                "epoch bump to %d missed %d of %d shards (%s); re-run "
-                "--bump-epoch when they rejoin or their pre-bump records "
-                "may be served to fresh clients",
-                acknowledged,
-                len(missed),
-                len(self.clients),
-                ", ".join(missed),
-            )
-        return acknowledged
-
-    def evict_all(self) -> int:
-        return sum(client.evict_all() for client in self.clients.values())
-
-    def close(self) -> None:
-        for client in self.clients.values():
-            client.close()
-
-    def stats_snapshot(self) -> "dict[str, int]":
-        with self._stats_lock:
-            snapshot = dict(self.stats)
-        retries = proto_mismatch = 0
-        for client in self.clients.values():
-            client_stats = client.stats_snapshot()
-            retries += client_stats.get("retries", 0)
-            proto_mismatch += client_stats.get("proto_mismatch", 0)
-        snapshot["retries"] = retries
-        snapshot["proto_mismatch"] = proto_mismatch
-        return snapshot
-
-
-if typing.TYPE_CHECKING:  # the protocol conformance is a type-level claim
-    from repro.ric.store import RecordStoreProtocol
-
-    _store: "RecordStoreProtocol" = typing.cast(ShardedRecordStore, None)

@@ -2,7 +2,7 @@
 
 The daemon is deliberately allowed to die: one bad allocation, one
 un-handled signal, one OOM kill must cost clients a reconnect (absorbed
-by the :class:`~repro.server.client.RemoteRecordStore` retry budget),
+by the :class:`~repro.server.client.EndpointClient` retry budget),
 not the sharing win for the rest of the day.  The supervisor closes
 that loop:
 

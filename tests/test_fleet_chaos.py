@@ -17,7 +17,7 @@ from repro.bytecode.cache import source_hash
 from repro.core.engine import Engine
 from repro.faults import FlakySocketProxy, kill_shard
 from repro.ric.store import RecordStore
-from repro.server import HashRing, RecordCacheDaemon, ShardedRecordStore
+from repro.server import HashRing, RecordCacheDaemon, RemoteRecordStore
 
 pytestmark = [
     pytest.mark.slow,
@@ -62,9 +62,9 @@ def fleet(tmp_path):
         daemon.stop()
 
 
-def fleet_store(endpoints, tmp_path, tag: str) -> ShardedRecordStore:
-    """A fresh sharded client with fast, deterministic failure behavior."""
-    return ShardedRecordStore(
+def fleet_store(endpoints, tmp_path, tag: str) -> RemoteRecordStore:
+    """A fresh fleet client with fast, deterministic failure behavior."""
+    return RemoteRecordStore(
         endpoints,
         fallback=RecordStore(directory=tmp_path / f"local-{tag}"),
         replication=2,

@@ -146,9 +146,10 @@ class TestDaemonRoundTrip:
         store = remote(daemon)
         store.put("lib.jsl", LIB_SOURCE, extracted["lib.jsl"])
         status = store.status()
-        assert status["remote"]["cache"]["records"] == 1
-        assert status["remote"]["store"]["records"] == 1
-        assert status["remote"]["store"]["quarantined"] == 0
+        stat = status["shards"][0]["remote"]
+        assert stat["cache"]["records"] == 1
+        assert stat["store"]["records"] == 1
+        assert stat["store"]["quarantined"] == 0
         assert status["client"]["puts"] == 1
         assert status["local"]["records"] == 1  # write-through to fallback
         assert len(store) == 1
@@ -582,7 +583,9 @@ class TestClientRobustnessSatellites:
 
         store = remote(daemon, retries=2)
         with pytest.raises(RemoteProtoMismatch):
-            store._request(protocol.request("FROBNICATE"))
+            store.clients[str(daemon.socket_path)]._request(
+                protocol.request("FROBNICATE")
+            )
         assert store.stats["proto_mismatch"] == 1
         assert store.stats["retries"] == 0  # clean refusal, no retry burn
         # The breaker did not trip: normal verbs still flow.
@@ -595,14 +598,14 @@ class TestClientRobustnessSatellites:
         bad = dict(protocol.request("PING"))
         bad["v"] = 99
         with pytest.raises(RemoteProtoMismatch):
-            store._request(bad)
+            store.clients[str(daemon.socket_path)]._request(bad)
         assert store.stats["proto_mismatch"] == 1
 
     def test_stat_health_blob_names_build_and_protocol(self, daemon):
         from repro import __version__
 
         store = remote(daemon)
-        health = store.status()["remote"]["health"]
+        health = store.status()["shards"][0]["remote"]["health"]
         assert health["version"] == __version__
         assert health["protocol"] == protocol.PROTOCOL_VERSION
         assert health["epoch"] == 0

@@ -1,5 +1,5 @@
-"""Fleet routing tests: HashRing, ShardedRecordStore, TCP transport,
-and epoch-based invalidation.
+"""Fleet routing tests: HashRing, RemoteRecordStore over several
+endpoints, TCP transport, and epoch-based invalidation.
 
 In-process daemons (unix sockets plus a TCP case) on background threads
 — fast, part of the default suite.  The multi-daemon kill/partition
@@ -21,7 +21,6 @@ from repro.server import (
     HashRing,
     RecordCacheDaemon,
     RemoteRecordStore,
-    ShardedRecordStore,
     make_record_store,
     protocol,
 )
@@ -76,11 +75,11 @@ def fleet(tmp_path):
         daemon.stop()
 
 
-def sharded(daemons, tmp_path, replication=2, **kwargs) -> ShardedRecordStore:
+def sharded(daemons, tmp_path, replication=2, **kwargs) -> RemoteRecordStore:
     kwargs.setdefault("timeout_s", 0.4)
     kwargs.setdefault("retries", 0)
     kwargs.setdefault("request_deadline_s", 1.0)
-    return ShardedRecordStore(
+    return RemoteRecordStore(
         [str(d.socket_path) for d in daemons],
         fallback=RecordStore(directory=tmp_path / "local"),
         replication=replication,
@@ -222,20 +221,21 @@ class TestMakeRecordStoreDispatch:
     def test_single_endpoint_is_remote(self, tmp_path):
         store = make_record_store(str(tmp_path / "one.sock"))
         assert isinstance(store, RemoteRecordStore)
+        assert len(store.ring) == 1 and store.replication == 1
 
     def test_endpoint_list_is_sharded(self, tmp_path):
         store = make_record_store(
             [str(tmp_path / "a.sock"), str(tmp_path / "b.sock")],
             replication=1,
         )
-        assert isinstance(store, ShardedRecordStore)
-        assert store.replication == 1
+        assert isinstance(store, RemoteRecordStore)
+        assert len(store.ring) == 2 and store.replication == 1
 
     def test_comma_separated_string_is_sharded(self, tmp_path):
         store = make_record_store(
             f"{tmp_path}/a.sock, {tmp_path}/b.sock,{tmp_path}/c.sock"
         )
-        assert isinstance(store, ShardedRecordStore)
+        assert isinstance(store, RemoteRecordStore)
         assert len(store.ring) == 3
 
     def test_engine_config_builds_sharded_store(self, fleet, tmp_path):
@@ -244,7 +244,9 @@ class TestMakeRecordStoreDispatch:
             remote_replication=2,
         )
         engine = Engine(config=config)
-        assert isinstance(engine.record_store, ShardedRecordStore)
+        assert isinstance(engine.record_store, RemoteRecordStore)
+        assert len(engine.record_store.ring) == 3
+        assert engine.record_store.replication == 2
 
 
 class TestTCPTransport:
@@ -265,7 +267,7 @@ class TestTCPTransport:
             assert store.get("lib.jsl", LIB_SOURCE) is not None
             assert store.stats["hits"] == 1 and store.stats["puts"] == 1
             status = store.status()
-            assert status["remote"]["health"]["protocol"] == 1
+            assert status["shards"][0]["remote"]["health"]["protocol"] == 1
             store.close()
         finally:
             daemon.stop()
@@ -357,8 +359,9 @@ class TestEpochInvalidation:
         # The daemon goes rogue: it never adopts gossiped epochs, so its
         # cache still holds the record admitted at epoch 0.
         daemon._maybe_adopt_epoch = lambda epoch: 0
-        store._epoch_clock.advance(7)  # client learned a bump elsewhere
-        outcome, record = store.remote_get("lib.jsl", LIB_SOURCE)
+        store.epoch_clock.advance(7)  # client learned a bump elsewhere
+        client = store.clients[str(daemon.socket_path)]
+        outcome, record = client.remote_get("lib.jsl", LIB_SOURCE)
         assert outcome == "stale" and record is None
         assert store.get("lib.jsl", LIB_SOURCE) is None
         assert store.stats["stale_epoch"] == 1
@@ -369,11 +372,12 @@ class TestEpochInvalidation:
         daemon.start()
         # retries=1 re-dials the dead connection after the restart;
         # retry_after_s=0 keeps the breaker out of the way.
-        client = RemoteRecordStore(
+        store = RemoteRecordStore(
             daemon.socket_path, retries=1, retry_after_s=0.0
         )
-        client.put("lib.jsl", LIB_SOURCE, extracted["lib.jsl"])
-        assert client.bump_epoch(4) == 4
+        client = store.clients[str(daemon.socket_path)]
+        store.put("lib.jsl", LIB_SOURCE, extracted["lib.jsl"])
+        assert store.bump_epoch(4) == 4
         daemon.stop()
         reborn = RecordCacheDaemon(tmp_path / "ricd.sock", directory=directory)
         assert reborn.epoch == 4

@@ -76,7 +76,8 @@ def _extracted_record():
 class TestHealth:
     def test_stat_reports_health(self, daemon):
         store = RemoteRecordStore(daemon.socket_path)
-        response = store._request(protocol.request("STAT"))
+        client = store.clients[str(daemon.socket_path)]
+        response = client._request(protocol.request("STAT"))
         health = response["health"]
         assert health["ready"] is True and health["draining"] is False
         assert health["uptime_s"] > 0
@@ -90,7 +91,8 @@ class TestHealth:
     def test_pressure_tracks_occupancy(self, daemon):
         store = RemoteRecordStore(daemon.socket_path)
         store.put("lib.jsl", LIB_SOURCE, _extracted_record())
-        health = store._request(protocol.request("STAT"))["health"]
+        client = store.clients[str(daemon.socket_path)]
+        health = client._request(protocol.request("STAT"))["health"]
         assert health["pressure"]["records"] == 1
         assert health["pressure"]["bytes"] > 0
         store.close()
@@ -403,7 +405,8 @@ class TestServeSignals:
             store.put("lib.jsl", LIB_SOURCE, _extracted_record())
 
             # Find and SIGKILL the *child* daemon (its pid is in STAT).
-            child_pid = store._request(protocol.request("STAT"))["cache"]["pid"]
+            stat = store.clients[socket_path]._request(protocol.request("STAT"))
+            child_pid = stat["cache"]["pid"]
             assert child_pid != proc.pid
             os.kill(child_pid, signal.SIGKILL)
 
@@ -416,9 +419,9 @@ class TestServeSignals:
                 )
                 try:
                     if probe.ping():
-                        pid = probe._request(protocol.request("STAT"))[
-                            "cache"
-                        ]["pid"]
+                        pid = probe.clients[socket_path]._request(
+                            protocol.request("STAT")
+                        )["cache"]["pid"]
                         if pid != child_pid:
                             revived = True
                             break
