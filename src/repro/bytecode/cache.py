@@ -2,16 +2,20 @@
 
 V8 lets the host cache the bytecode result of parsing+compiling a script so
 that re-executions skip the frontend entirely; both the paper's Conventional
-and RIC configurations run on top of this.  Our cache serializes
-:class:`~repro.bytecode.code.CodeObject` trees to a JSON-compatible form,
-keyed by the script's filename and a content hash, and can round-trip them
-through disk.
+and RIC configurations run on top of this.  Our cache keys
+:class:`~repro.bytecode.code.CodeObject` trees by the script's filename and
+a content hash, and can round-trip them through disk as one ``marshal``
+entry per script.  ``marshal`` is only safe for trusted data: the engine
+writes the cache directory and reads it back on the same host, the trust
+model of CPython's ``.pyc`` files.  ICRecords, which cross process and host
+boundaries, keep their checksummed JSON.  An entry that does not decode to
+the expected shape is a cache miss, never an error.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import marshal
 import threading
 from pathlib import Path
 
@@ -21,7 +25,15 @@ from repro.lang.errors import SourcePosition
 #: Bump when the serialized form changes; mismatching entries are ignored.
 #: v5: the optimizer emits fused superinstructions, so cached streams
 #: from earlier versions would execute unfused and skew dispatch counts.
-CACHE_FORMAT_VERSION = 5
+#: v6: one ``marshal`` blob per script replaces the JSON entry.
+CACHE_FORMAT_VERSION = 6
+
+#: ``marshal`` format the entries are written in.  Pinned, so that a newer
+#: Python writes entries that an older one can still read.
+MARSHAL_VERSION = 4
+
+_SITE_KINDS = {kind.value: kind for kind in SiteKind}
+_SCALAR_CONSTANTS = (float, str)
 
 
 def source_hash(source: str) -> str:
@@ -29,71 +41,63 @@ def source_hash(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
 
 
-def _position_to_json(position: SourcePosition) -> list:
-    return [position.filename, position.line, position.column]
+def _position(position: SourcePosition) -> tuple:
+    return (position.filename, position.line, position.column)
 
 
-def _position_from_json(data: list) -> SourcePosition:
-    return SourcePosition(data[0], data[1], data[2])
-
-
-def code_to_json(code: CodeObject) -> dict:
-    """Serialize one code object (recursively) to plain JSON data."""
-    constants = []
-    for constant in code.constants:
-        if isinstance(constant, CodeObject):
-            constants.append({"kind": "code", "value": code_to_json(constant)})
-        elif isinstance(constant, float):
-            constants.append({"kind": "num", "value": constant})
-        elif isinstance(constant, str):
-            constants.append({"kind": "str", "value": constant})
-        else:  # pragma: no cover - the compiler emits only the above
-            raise TypeError(f"unserializable constant: {constant!r}")
-    return {
-        "name": code.name,
-        "filename": code.filename,
-        "params": code.params,
-        "position": _position_to_json(code.position),
-        "decl_key": code.decl_key,
-        "instructions": [list(instruction) for instruction in code.instructions],
-        "positions": [list(position) for position in code.positions],
-        "constants": constants,
-        "names": code.names,
-        "local_names": code.local_names,
-        "feedback_slots": [
-            [slot.kind.value, _position_to_json(slot.position), slot.name]
+def _code_to_tuple(code: CodeObject) -> tuple:
+    """A fixed-arity tuple in :class:`CodeObject` field order.  The list
+    fields stay lists (instructions and positions of ``(op, a, b)`` and
+    ``(line, col)`` tuples), which ``marshal`` rebuilds as fresh lists."""
+    return (
+        code.name, code.filename, code.params, _position(code.position),
+        code.instructions, code.positions,
+        tuple(
+            _code_to_tuple(constant) if isinstance(constant, CodeObject) else constant
+            for constant in code.constants
+        ),
+        code.names, code.local_names,
+        tuple(
+            (slot.kind.value, *_position(slot.position), slot.name)
             for slot in code.feedback_slots
-        ],
-    }
-
-
-def code_from_json(data: dict) -> CodeObject:
-    """Inverse of :func:`code_to_json`."""
-    constants: list[object] = []
-    for entry in data["constants"]:
-        if entry["kind"] == "code":
-            constants.append(code_from_json(entry["value"]))
-        else:
-            constants.append(entry["value"])
-    code = CodeObject(
-        name=data["name"],
-        filename=data["filename"],
-        params=list(data["params"]),
-        position=_position_from_json(data["position"]),
-        instructions=[tuple(instruction) for instruction in data["instructions"]],
-        positions=[tuple(position) for position in data["positions"]],
-        constants=constants,
-        names=list(data["names"]),
-        local_names=list(data["local_names"]),
-        feedback_slots=[
-            FeedbackSlotInfo(
-                kind=SiteKind(kind), position=_position_from_json(position), name=name
-            )
-            for kind, position, name in data["feedback_slots"]
-        ],
-        decl_key=data["decl_key"],
+        ),
+        code.decl_key,
     )
-    return code
+
+
+def _code_from_tuple(data: tuple) -> CodeObject:
+    if type(data) is not tuple:
+        raise TypeError(f"not a code tuple: {type(data).__name__}")
+    (name, filename, params, position, instructions, positions, constants,
+     names, local_names, slots, decl_key) = data
+    return CodeObject(
+        name, filename, params, SourcePosition(*position), instructions, positions,
+        [c if type(c) in _SCALAR_CONSTANTS else _code_from_tuple(c) for c in constants],
+        names, local_names,
+        [
+            FeedbackSlotInfo(_SITE_KINDS[kind], SourcePosition(file, line, column), slot_name)
+            for kind, file, line, column, slot_name in slots
+        ],
+        decl_key,
+    )
+
+
+def encode_entry(key: str, code: CodeObject) -> bytes:
+    """Serialize one script's code tree (recursively) as a cache entry."""
+    return marshal.dumps((CACHE_FORMAT_VERSION, key, _code_to_tuple(code)), MARSHAL_VERSION)
+
+
+def decode_entry(data: bytes, key: str) -> CodeObject | None:
+    """Inverse of :func:`encode_entry`; ``None`` for an entry that is
+    unreadable, truncated, of another format version, stored under
+    another key or of the wrong shape."""
+    try:
+        version, stored_key, code = marshal.loads(data)
+        if version == CACHE_FORMAT_VERSION and stored_key == key:
+            return _code_from_tuple(code)
+    except (EOFError, ValueError, TypeError, KeyError):
+        pass
+    return None
 
 
 class CodeCache:
@@ -102,6 +106,8 @@ class CodeCache:
     The cache models the V8 host API: the embedder asks for a script's
     compiled form; on a hit the frontend is skipped.  ``hits``/``misses``
     are exposed so benchmarks can assert the Reuse run never re-compiles.
+    With a ``cache_dir``, every stored script is also written there as one
+    :func:`encode_entry` blob and read back by later caches on a miss.
 
     Thread-safety contract: the cache is shared by every concurrent
     :class:`~repro.core.session.RunSession` of an engine, so lookups,
@@ -156,31 +162,18 @@ class CodeCache:
         with self._lock:
             self._entries[key] = code
             if self._cache_dir is not None:
-                self._store_to_disk(key, code)
+                self._disk_path(key).write_bytes(encode_entry(key, code))
 
     # -- disk persistence ----------------------------------------------------
 
     def _disk_path(self, key: str) -> Path:
         assert self._cache_dir is not None
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:24]
-        return self._cache_dir / f"{digest}.jslcache.json"
-
-    def _store_to_disk(self, key: str, code: CodeObject) -> None:
-        payload = {
-            "version": CACHE_FORMAT_VERSION,
-            "key": key,
-            "code": code_to_json(code),
-        }
-        self._disk_path(key).write_text(json.dumps(payload))
+        return self._cache_dir / f"{digest}.jslcache.v{CACHE_FORMAT_VERSION}"
 
     def _load_from_disk(self, key: str) -> CodeObject | None:
-        path = self._disk_path(key)
-        if not path.exists():
-            return None
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            data = self._disk_path(key).read_bytes()
+        except OSError:
             return None
-        if payload.get("version") != CACHE_FORMAT_VERSION or payload.get("key") != key:
-            return None
-        return code_from_json(payload["code"])
+        return decode_entry(data, key)

@@ -1,19 +1,27 @@
 """Tests for the bytecode compiler, disassembler and code cache."""
 
+import hashlib
 import json
+import marshal
+import math
+from pathlib import Path
 
 import pytest
 
 from repro.bytecode.cache import (
+    CACHE_FORMAT_VERSION,
+    MARSHAL_VERSION,
     CodeCache,
-    code_from_json,
-    code_to_json,
+    decode_entry,
+    encode_entry,
     source_hash,
 )
-from repro.bytecode.code import SiteKind
+from repro.bytecode.code import CodeObject, SiteKind
 from repro.bytecode.compiler import compile_source
 from repro.bytecode.disasm import disassemble
 from repro.bytecode.opcodes import Op
+from repro.bytecode.optimizer import optimize_code
+from repro.core.engine import Engine
 from repro.lang.errors import JSLCompileError
 
 
@@ -193,12 +201,14 @@ class TestCodeCache:
         source = "var x = 1;"
         cache = CodeCache(cache_dir=tmp_path)
         cache.store("a.jsl", source, compile_source(source, "a.jsl"))
-        for path in tmp_path.glob("*.json"):
+        entries = list(tmp_path.glob(f"*.jslcache.v{CACHE_FORMAT_VERSION}"))
+        assert entries
+        for path in entries:
             path.write_text("{ not json")
         fresh = CodeCache(cache_dir=tmp_path)
         assert fresh.lookup("a.jsl", source) is None
 
-    def test_json_round_trip_nested_functions(self):
+    def test_entry_round_trip_nested_functions(self):
         source = """
         function outer(a) {
           var captured = a * 2;
@@ -206,7 +216,7 @@ class TestCodeCache:
         }
         """
         code = compile_source(source, "n.jsl")
-        restored = code_from_json(json.loads(json.dumps(code_to_json(code))))
+        restored = decode_entry(encode_entry("n.jsl:k", code), "n.jsl:k")
         originals = list(code.iter_code_objects())
         restoreds = list(restored.iter_code_objects())
         assert len(originals) == len(restoreds)
@@ -230,3 +240,171 @@ class TestCodeCache:
     def test_source_hash_stable(self):
         assert source_hash("abc") == source_hash("abc")
         assert source_hash("abc") != source_hash("abd")
+
+
+# -- code cache format 6: damaged entries and the round-trip wall -------------
+
+_SCRIPT = "function f(o) { return o.v * 2; } console.log(f({v: 21}));"
+_KEY = f"s.jsl:{source_hash(_SCRIPT)}"
+#: Indices into a code tuple, which holds CodeObject fields in order.
+_CONSTANTS, _SLOTS = 6, 9
+
+
+def _retupled(entry, change):
+    version, key, code = marshal.loads(entry)
+    return marshal.dumps(change(version, key, code), MARSHAL_VERSION)
+
+
+def _code_field(index, change):
+    """Damage the script's code tuple at ``index`` with ``change(value, code)``."""
+
+    def damage(version, key, code):
+        value = change(code[index], code)
+        return version, key, code[:index] + (value,) + code[index + 1:]
+
+    return lambda entry: _retupled(entry, damage)
+
+
+_DAMAGE = {
+    "empty": lambda entry: b"",
+    "truncated": lambda entry: entry[: len(entry) // 2],
+    "garbage": lambda entry: bytes(range(256)) * 4,
+    "wrong-version": lambda entry: _retupled(
+        entry, lambda version, key, code: (version - 1, key, code)
+    ),
+    "wrong-key": lambda entry: _retupled(
+        entry, lambda version, key, code: (version, "other.jsl:0", code)
+    ),
+    "wrong-arity": lambda entry: _retupled(
+        entry, lambda version, key, code: (version, key, code[:-1])
+    ),
+    "int-constant": _code_field(_CONSTANTS, lambda pool, code: pool + (7,)),
+    # A well-formed code tuple, but as a list: only tuples nest.
+    "list-constant": _code_field(_CONSTANTS, lambda pool, code: pool + (list(code),)),
+    "unknown-slot-kind": _code_field(
+        _SLOTS, lambda slots, code: (("bogus",) + slots[0][1:],) + slots[1:]
+    ),
+}
+
+
+class TestDamagedCodeCacheEntry:
+    """Every unreadable entry is a miss that recompiles, never an error."""
+
+    def _warm(self, cache_dir):
+        out = Engine(seed=1, cache_dir=str(cache_dir)).run([("s.jsl", _SCRIPT)])
+        assert out.console_output == ["42"]
+        [entry] = cache_dir.glob(f"*.jslcache.v{CACHE_FORMAT_VERSION}")
+        return entry
+
+    def _assert_recompiles(self, cache_dir):
+        assert CodeCache(cache_dir=cache_dir).lookup("s.jsl", _SCRIPT) is None
+        engine = Engine(seed=2, cache_dir=str(cache_dir))
+        assert engine.run([("s.jsl", _SCRIPT)]).console_output == ["42"]
+        assert engine.code_cache.misses == 1
+        rewritten = CodeCache(cache_dir=cache_dir).lookup("s.jsl", _SCRIPT)
+        assert rewritten is not None
+        assert [s.site_key for s in rewritten.feedback_slots] == [
+            s.site_key for s in compile_source(_SCRIPT, "s.jsl").feedback_slots
+        ]
+
+    @pytest.mark.parametrize("damage", sorted(_DAMAGE))
+    def test_damaged_entry_is_a_miss(self, tmp_path, damage):
+        entry = self._warm(tmp_path)
+        data = _DAMAGE[damage](entry.read_bytes())
+        assert decode_entry(data, _KEY) is None
+        entry.write_bytes(data)
+        self._assert_recompiles(tmp_path)
+
+    def test_format5_json_entry_is_never_read(self, tmp_path):
+        entry = self._warm(tmp_path)
+        entry.unlink()
+        digest = hashlib.sha256(_KEY.encode("utf-8")).hexdigest()[:24]
+        old = tmp_path / f"{digest}.jslcache.json"
+        code = {
+            "name": "<script>", "filename": "s.jsl", "params": [],
+            "position": ["s.jsl", 1, 1], "decl_key": "s.jsl:1:1#<script>",
+            "instructions": [[int(Op.LOAD_UNDEFINED), 0, 0], [int(Op.RETURN), 0, 0]],
+            "positions": [[1, 1], [1, 1]], "constants": [], "names": [],
+            "local_names": [], "feedback_slots": [],
+        }
+        old.write_text(json.dumps({"version": 5, "key": _KEY, "code": code}))
+        self._assert_recompiles(tmp_path)
+        assert old.exists()
+
+    def test_valid_entry_is_a_hit(self, tmp_path):
+        self._warm(tmp_path)
+        assert CodeCache(cache_dir=tmp_path).lookup("s.jsl", _SCRIPT) is not None
+
+
+def test_marshal_stays_out_of_the_record_path():
+    """ICRecords and the ricd wire cross process and host boundaries, so
+    they keep checksummed JSON; ``marshal`` is for the local code cache."""
+    import repro
+
+    root = Path(repro.__file__).parent
+    for package in ("ric", "server"):
+        for path in (root / package).rglob("*.py"):
+            assert "marshal" not in path.read_text(encoding="utf-8"), path
+
+
+def _assert_same_constant(original, restored):
+    if isinstance(original, CodeObject):
+        assert isinstance(restored, CodeObject)
+        return
+    assert type(restored) is type(original)
+    if isinstance(original, float) and math.isnan(original):
+        assert math.isnan(restored)
+    elif isinstance(original, float):
+        assert restored == original
+        assert math.copysign(1.0, restored) == math.copysign(1.0, original)
+    else:
+        assert restored == original
+
+
+def _assert_entry_round_trips(filename, source):
+    code = compile_source(source, filename)
+    optimize_code(code)
+    key = f"{filename}:{source_hash(source)}"
+    restored = decode_entry(encode_entry(key, code), key)
+    assert restored is not None
+    originals = list(code.iter_code_objects())
+    restoreds = list(restored.iter_code_objects())
+    assert len(originals) == len(restoreds)
+    for a, b in zip(originals, restoreds):
+        assert a.instructions == b.instructions
+        assert a.positions == b.positions
+        assert a.params == b.params
+        assert a.names == b.names
+        assert a.local_names == b.local_names
+        assert a.decl_key == b.decl_key
+        assert a.position == b.position
+        assert [(s.kind, s.name, s.site_key) for s in a.feedback_slots] == [
+            (s.kind, s.name, s.site_key) for s in b.feedback_slots
+        ]
+        assert len(a.constants) == len(b.constants)
+        for original, restored_constant in zip(a.constants, b.constants):
+            _assert_same_constant(original, restored_constant)
+    return code
+
+
+class TestCodeCacheRoundTripWall:
+    """Every code object of every benchmarked workload decodes equal to
+    its compiled tree."""
+
+    def test_bench_workloads_round_trip(self):
+        from repro.harness.bench import bench_workloads
+
+        workloads = bench_workloads()
+        assert len(workloads) == 10
+        for scripts in workloads.values():
+            for filename, source in scripts:
+                _assert_entry_round_trips(filename, source)
+
+    def test_folded_special_floats_round_trip(self):
+        code = _assert_entry_round_trips(
+            "f.jsl", "var a = 0/0; var b = 1/0; var c = -0; var d = -1/0;"
+        )
+        floats = [c for c in code.constants if isinstance(c, float)]
+        assert any(math.isnan(c) for c in floats)
+        assert math.inf in floats and -math.inf in floats
+        assert any(c == 0.0 and math.copysign(1.0, c) < 0 for c in floats)

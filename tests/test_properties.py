@@ -6,7 +6,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bytecode.cache import code_from_json, code_to_json
+from repro.bytecode.cache import decode_entry, encode_entry
 from repro.bytecode.compiler import compile_source
 from repro.core.engine import Engine
 from repro.lang.lexer import tokenize
@@ -286,10 +286,10 @@ class TestRecordSerializationProperties:
 
     @given(st.lists(identifiers, min_size=1, max_size=5, unique=True))
     @settings(max_examples=15, deadline=None)
-    def test_compiled_code_json_round_trip(self, keys):
+    def test_compiled_code_entry_round_trip(self, keys):
         source = "\n".join(f"var {k} = function () {{ return {i}; }};" for i, k in enumerate(keys))
         code = compile_source(source, "p.jsl")
-        restored = code_from_json(json.loads(json.dumps(code_to_json(code))))
+        restored = decode_entry(encode_entry("p.jsl:k", code), "p.jsl:k")
         assert restored.instructions == code.instructions
         assert len(list(restored.iter_code_objects())) == len(
             list(code.iter_code_objects())
