@@ -10,6 +10,12 @@ writes the cache directory and reads it back on the same host, the trust
 model of CPython's ``.pyc`` files.  ICRecords, which cross process and host
 boundaries, keep their checksummed JSON.  An entry that does not decode to
 the expected shape is a cache miss, never an error.
+
+Within one entry, equal instruction and position tuples are written as one
+shared object, so ``marshal`` stores the repeats as back-references and a
+load builds each distinct tuple once.  That keeps a page load's allocations
+(and with them CPython's cyclic-GC collections) down; tuples are immutable,
+so nothing that reads the code can tell a shared one from a copy.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import marshal
 import threading
+from itertools import chain
 from pathlib import Path
 
 from repro.bytecode.code import CodeObject, FeedbackSlotInfo, SiteKind
@@ -45,15 +52,27 @@ def _position(position: SourcePosition) -> tuple:
     return (position.filename, position.line, position.column)
 
 
-def _code_to_tuple(code: CodeObject) -> tuple:
+def _shared(items: list[tuple], table: dict) -> list[tuple]:
+    """``items`` with every tuple replaced by the first equal one in
+    ``table``, the entry's intern table (``marshal`` back-references only
+    reach within one ``dumps``).  Only lists of exact-int tuples share:
+    dict keys merge ``True`` with ``1`` and ``-0.0`` with ``0.0``, so any
+    other list is written as it is."""
+    if not set(map(type, chain.from_iterable(items))) <= {int}:
+        return items
+    return [table.setdefault(item, item) for item in items]
+
+
+def _code_to_tuple(code: CodeObject, table: dict) -> tuple:
     """A fixed-arity tuple in :class:`CodeObject` field order.  The list
     fields stay lists (instructions and positions of ``(op, a, b)`` and
-    ``(line, col)`` tuples), which ``marshal`` rebuilds as fresh lists."""
+    ``(line, col)`` tuples, equal ones shared through ``table``), which
+    ``marshal`` rebuilds as fresh lists."""
     return (
         code.name, code.filename, code.params, _position(code.position),
-        code.instructions, code.positions,
+        _shared(code.instructions, table), _shared(code.positions, table),
         tuple(
-            _code_to_tuple(constant) if isinstance(constant, CodeObject) else constant
+            _code_to_tuple(constant, table) if isinstance(constant, CodeObject) else constant
             for constant in code.constants
         ),
         code.names, code.local_names,
@@ -84,7 +103,7 @@ def _code_from_tuple(data: tuple) -> CodeObject:
 
 def encode_entry(key: str, code: CodeObject) -> bytes:
     """Serialize one script's code tree (recursively) as a cache entry."""
-    return marshal.dumps((CACHE_FORMAT_VERSION, key, _code_to_tuple(code)), MARSHAL_VERSION)
+    return marshal.dumps((CACHE_FORMAT_VERSION, key, _code_to_tuple(code, {})), MARSHAL_VERSION)
 
 
 def decode_entry(data: bytes, key: str) -> CodeObject | None:

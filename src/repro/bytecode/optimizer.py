@@ -35,6 +35,8 @@ from repro.bytecode.code import CodeObject
 from repro.bytecode.opcodes import BinOp, Op, UnOp
 from repro.runtime.values import (
     loose_equals,
+    number_divide,
+    number_remainder,
     strict_equals,
     to_boolean,
     to_int32,
@@ -120,19 +122,9 @@ def fold_binary(op: int, left: object, right: object) -> object:
     if op == BinOp.MUL:
         return to_number(left) * to_number(right)
     if op == BinOp.DIV:
-        divisor = to_number(right)
-        dividend = to_number(left)
-        if divisor == 0.0:
-            if dividend == 0.0 or dividend != dividend:
-                return float("nan")
-            return float("inf") if dividend > 0 else float("-inf")
-        return dividend / divisor
+        return number_divide(to_number(left), to_number(right))
     if op == BinOp.MOD:
-        divisor = to_number(right)
-        dividend = to_number(left)
-        if divisor == 0.0 or dividend != dividend or divisor != divisor:
-            return float("nan")
-        return float(dividend - divisor * int(dividend / divisor))
+        return number_remainder(to_number(left), to_number(right))
     if op == BinOp.EQ:
         return loose_equals(left, right)
     if op == BinOp.NEQ:

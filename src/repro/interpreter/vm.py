@@ -70,6 +70,8 @@ from repro.runtime.values import (
     NULL,
     UNDEFINED,
     loose_equals,
+    number_divide,
+    number_remainder,
     strict_equals,
     to_boolean,
     to_number,
@@ -1165,21 +1167,9 @@ class VM:
         if op == BinOp.MUL:
             return to_number(left) * to_number(right)
         if op == BinOp.DIV:
-            divisor = to_number(right)
-            dividend = to_number(left)
-            if divisor == 0.0:
-                if dividend == 0.0 or dividend != dividend:
-                    return float("nan")
-                return float("inf") if dividend > 0 else float("-inf")
-            return dividend / divisor
+            return number_divide(to_number(left), to_number(right))
         if op == BinOp.MOD:
-            divisor = to_number(right)
-            dividend = to_number(left)
-            if divisor == 0.0 or dividend != dividend or divisor != divisor:
-                return float("nan")
-            return float(
-                dividend - divisor * int(dividend / divisor)
-            )  # JS truncating remainder
+            return number_remainder(to_number(left), to_number(right))
         if op == BinOp.EQ:
             return loose_equals(left, right)
         if op == BinOp.NEQ:

@@ -96,6 +96,28 @@ def to_number(value: object) -> float:
     return float("nan")  # objects: simplified (no valueOf protocol)
 
 
+def number_divide(dividend: float, divisor: float) -> float:
+    """JS ``/`` on numbers: IEEE division, where Python raises on a zero
+    divisor.  A zero divisor gives ``NaN`` for a zero or ``NaN`` dividend,
+    else an infinity signed by the dividend's sign times the zero's."""
+    if divisor == 0.0:
+        if dividend == 0.0 or dividend != dividend:
+            return float("nan")
+        return math.copysign(float("inf"), dividend) * math.copysign(1.0, divisor)
+    return dividend / divisor
+
+
+def number_remainder(dividend: float, divisor: float) -> float:
+    """JS ``%`` on numbers: the truncating remainder, exact and signed like
+    the dividend.  ``math.fmod`` already gives JS's result for a ``NaN``
+    operand (``NaN``) and an infinite divisor (the dividend); it raises
+    where JS gives ``NaN``, for an infinite dividend or a zero divisor."""
+    try:
+        return math.fmod(dividend, divisor)
+    except ValueError:
+        return float("nan")
+
+
 def number_to_string(value: float) -> str:
     """JS Number-to-string: integral floats print without the '.0'."""
     if math.isnan(value):

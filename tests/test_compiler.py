@@ -408,3 +408,86 @@ class TestCodeCacheRoundTripWall:
         assert any(math.isnan(c) for c in floats)
         assert math.inf in floats and -math.inf in floats
         assert any(c == 0.0 and math.copysign(1.0, c) < 0 for c in floats)
+
+
+# -- shared tuples within one entry -------------------------------------------
+
+_INSTRUCTIONS, _POSITIONS = 4, 5
+
+
+def _compiled(filename, source):
+    code = compile_source(source, filename)
+    optimize_code(code)
+    return f"{filename}:{source_hash(source)}", code
+
+
+def _unshared(entry):
+    """``entry`` rewritten with every instruction and position tuple its
+    own object, the way entries were encoded before tuples were shared."""
+
+    def copy(code):
+        fields = list(code)
+        for index in (_INSTRUCTIONS, _POSITIONS):
+            fields[index] = [tuple(list(item)) for item in code[index]]
+        fields[_CONSTANTS] = tuple(
+            copy(c) if type(c) is tuple else c for c in code[_CONSTANTS]
+        )
+        return tuple(fields)
+
+    return _retupled(entry, lambda version, key, code: (version, key, copy(code)))
+
+
+def _tuples(code):
+    for nested in code.iter_code_objects():
+        yield from nested.instructions
+        yield from nested.positions
+
+
+class TestCodeCacheSharing:
+    """Within one entry, equal instruction and position tuples are written
+    once, so a load builds each distinct tuple once."""
+
+    def _scripts(self):
+        from repro.harness.bench import bench_workloads
+        from repro.workloads import WORKLOADS
+
+        workloads = bench_workloads()
+        assert len(workloads) == 10 and set(WORKLOADS) <= set(workloads)
+        return [script for scripts in workloads.values() for script in scripts]
+
+    def test_equal_tuples_decode_as_one_object(self):
+        for filename, source in self._scripts():
+            key, code = _compiled(filename, source)
+            restored = decode_entry(encode_entry(key, code), key)
+            assert restored is not None
+            first = {}
+            for item in _tuples(restored):
+                assert first.setdefault(item, item) is item, (filename, item)
+            assert [tuple(map(type, item)) for item in _tuples(restored)] == [
+                tuple(map(type, item)) for item in _tuples(code)
+            ], filename
+
+    def test_unshared_entry_decodes_to_equal_code(self):
+        for filename, source in self._scripts():
+            key, code = _compiled(filename, source)
+            shared = encode_entry(key, code)
+            unshared = _unshared(shared)
+            assert len(unshared) > len(shared), filename
+            old = decode_entry(unshared, key)
+            assert old is not None
+            assert len({id(item) for item in _tuples(old)}) == sum(1 for _ in _tuples(old))
+            assert old == decode_entry(shared, key) == code, filename
+
+    def test_only_type_exact_equal_tuples_merge(self):
+        code = compile_source("var x = 1;", "t.jsl")
+        code.instructions = [(1, 0, 0), (True, 0, 0), (1.0, 0, 0), (1, 0, 0)]
+        code.positions = [(0, 0), (0.0, 0), (-0.0, 0), (0, 0)]
+        restored = decode_entry(encode_entry("t.jsl:k", code), "t.jsl:k")
+        for original, decoded in (
+            (code.instructions, restored.instructions),
+            (code.positions, restored.positions),
+        ):
+            assert [tuple(map(type, t)) for t in decoded] == [
+                tuple(map(type, t)) for t in original
+            ]
+            assert [repr(t) for t in decoded] == [repr(t) for t in original]

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.bytecode.compiler import compile_source
+from repro.bytecode.opcodes import Op
+from repro.bytecode.optimizer import optimize_code
 from repro.core.engine import Engine
 from repro.lang.errors import JSLSyntaxError
 from repro.lang.lexer import tokenize
@@ -51,6 +54,44 @@ class TestNumberFormatting:
         assert console_of("console.log(0.1 + 0.2 === 0.3, 0.5 + 0.25);") == [
             "false 0.75"
         ]
+
+
+#: ``/`` and ``%`` corners with the results node prints.  ``{0}``, ``{1}``
+#: are the operands: variables for the VM, literals for the constant folder.
+_DIVISION_CASES = [
+    ("{0} / {1}", ("1", "-0"), "-Infinity"),
+    ("{0} / {1}", ("-1", "-0"), "Infinity"),
+    ("{0} / {1}", ("0", "-0"), "NaN"),
+    ("{0} / {1}", ("(0 / 0)", "0"), "NaN"),
+    ("1 / ({0} / {1})", ("-1", "(1 / 0)"), "-Infinity"),
+    ("{0} % {1}", ("(1 / 0)", "2"), "NaN"),
+    ("{0} % {1}", ("5", "(1 / 0)"), "5"),
+    ("{0} % {1}", ("1e17", "3"), "1"),
+    ("1 / ({0} % {1})", ("-1", "1"), "-Infinity"),
+    ("1 / ({0} % {1})", ("-0", "5"), "-Infinity"),
+    ("{0} % {1}", ("-5", "3"), "-2"),
+    ("{0} % {1}", ("5.5", "-2"), "1.5"),
+    ("{0} % {1}", ("7", "-0"), "NaN"),
+    ("{0} % {1}", ("(0 / 0)", "2"), "NaN"),
+    ("{0} % {1}", ("5", "(0 / 0)"), "NaN"),
+]
+
+
+class TestDivisionAndRemainder:
+    @pytest.mark.parametrize("template, operands, expected", _DIVISION_CASES)
+    def test_operands_in_variables(self, template, operands, expected):
+        names = [f"v{i}" for i in range(len(operands))]
+        declarations = "".join(f"var {n} = {o}; " for n, o in zip(names, operands))
+        source = f"{declarations}console.log({template.format(*names)});"
+        assert console_of(source) == [expected]
+
+    @pytest.mark.parametrize("template, operands, expected", _DIVISION_CASES)
+    def test_literal_operands_fold(self, template, operands, expected):
+        source = f"console.log({template.format(*operands)});"
+        code = compile_source(source, "fold.jsl")
+        optimize_code(code)
+        assert Op.BINARY not in [op for op, _, _ in code.instructions]
+        assert Engine(seed=1).run(source).console_output == [expected]
 
 
 class TestGuestSemanticsCorners:
