@@ -143,7 +143,6 @@ def measure(
             "jobs": jobs,
             "runs_per_workload": runs_per_workload,
             "seed": seed,
-            "interp_fastpaths": config.interp_fastpaths,
         },
         "host": {
             "python": platform.python_version(),

@@ -32,26 +32,16 @@ class RICConfig:
     * ``include_global_ics=True`` — lifts the paper's §6 exclusion of
       global-object ICs (order-sensitive; breaks cross-website reuse).
 
-    Robustness knobs (not ablations — they control how the engine treats
+    Robustness knob (not an ablation — it controls how the engine treats
     persisted records that fail integrity/structural validation):
 
     * ``strict_validation=True`` — a corrupt or structurally invalid
       record raises :class:`~repro.ric.errors.RecordFormatError` at
       ``Engine.run`` instead of silently degrading that record to
       cold-start.  Default False: degrade, count, keep running.
-    * ``quarantine_corrupt`` — whether a directory-backed
-      :class:`~repro.ric.store.RecordStore` renames entries that fail to
-      load to ``*.corrupt`` (preserving them for post-mortem) instead of
-      leaving them in place to fail again next process.
 
-    Interpreter knobs:
+    Interpreter knob:
 
-    * ``interp_fastpaths=False`` — disable the VM's inline monomorphic
-      GET_PROP/SET_PROP fast paths and route every property access through
-      the generic :class:`~repro.ic.miss.ICRuntime` path.  The two must be
-      observationally identical (tests/test_dispatch_table.py and the
-      differential suite enforce it); the knob exists for those tests and
-      for isolating fast-path effects in benchmarks.
     * ``specialize=False`` — disable the bytecode quickening pass
       (repro/specialize/): persisted ``site_feedback`` is still recorded
       and extracted, but never spent rewriting opcodes, so every run
@@ -106,8 +96,6 @@ class RICConfig:
     validate: bool = True
     include_global_ics: bool = False
     strict_validation: bool = False
-    quarantine_corrupt: bool = True
-    interp_fastpaths: bool = True
     specialize: bool = _specialize_default()
     remote_socket: "str | tuple | None" = None
     remote_replication: int = 2

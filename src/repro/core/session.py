@@ -269,7 +269,6 @@ class RunSession:
             ic_runtime,
             self.feedback,
             time_source=self.time_source,
-            fastpaths=self.config.interp_fastpaths,
             budget=self.budget,
             cancel_token=self.cancel_token,
         )

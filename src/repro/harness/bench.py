@@ -137,7 +137,6 @@ def measure(
         "config": {
             "iterations": iterations,
             "seed": seed,
-            "interp_fastpaths": config.interp_fastpaths,
         },
         "host": {
             "python": platform.python_version(),

@@ -46,14 +46,14 @@ class ICSite:
         self.preloaded_addresses: set[int] = set()
 
     def lookup(self, hidden_class: "HiddenClass") -> "Handler | None":
-        """Fast-path probe: the dispatch the specialised site code does.
+        """Probe: the dispatch the specialised site code does.
 
         Linear scan over at most :data:`POLY_LIMIT` slots with
         move-to-front (MRU) reordering: a polymorphic site keeps its
-        hottest shape first so the common case pays one compare.  The
-        VM's inline GET_PROP/SET_PROP fast paths mirror this exact scan
-        and reorder, so slot order evolves identically whether a site is
-        probed inline or through the generic :class:`ICRuntime` path.
+        hottest shape first so the common case pays one compare.  Keyed
+        and global sites are probed here, and RIC preloading checks a
+        slot with it; named property sites are probed by the same scan
+        and reorder inlined in ``VM._op_get_prop``/``_op_set_prop``.
         """
         slots = self.slots
         for index, entry in enumerate(slots):

@@ -7,10 +7,14 @@ updates the ICVector — all of which is charged to the ``ic_miss``
 instruction category, reproducing the overhead the paper's Figure 5
 measures.
 
-:class:`ICRuntime` is shared by the VM's property opcodes.  When a
-RIC reuse session is attached, hidden-class creations flow to it (for
-validation + dependent-site preloading) and reuse-run misses are attributed
-to the paper's Table 4 buckets (Handler / Global / Other).
+:class:`ICRuntime` is shared by the VM's property opcodes.  Named
+property sites are probed inline by the VM (``VM._op_get_prop``/
+``_op_set_prop``), which enters :meth:`ICRuntime.named_load`/
+:meth:`~ICRuntime.named_store` only when no slot hit; keyed and global
+sites are probed here.  When a RIC reuse session is attached,
+hidden-class creations flow to it (for validation + dependent-site
+preloading) and reuse-run misses are attributed to the paper's Table 4
+buckets (Handler / Global / Other).
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 
 class ICRuntime:
-    """Implements IC probes, hits and the runtime miss path."""
+    """Implements the runtime miss path, and the probes of keyed and
+    global sites."""
 
     __slots__ = (
         "runtime",
@@ -129,8 +134,7 @@ class ICRuntime:
         after = site.state
         if after is not before:
             # Tier transitions are counted here (and in RIC preloading),
-            # never in the VM fast paths — which only probe, never
-            # install — so the counts match under both fast-path modes.
+            # never in the VM's inline probe, which never installs.
             if after is ICState.POLYMORPHIC:
                 self.counters.ic_poly_transitions += 1
             elif after is ICState.MEGAMORPHIC:
@@ -177,34 +181,15 @@ class ICRuntime:
     # -- named loads -----------------------------------------------------------------
 
     def named_load(self, site: ICSite, obj: JSObject, name: str) -> object:
-        """``obj.name`` with inline caching."""
+        """``obj.name`` after the VM's inline probe found no slot hit.
+
+        Charges the access and its probe, then tries a megamorphic site's
+        shared stub cache; anything else is a miss.
+        """
         counters = self.counters
         counters.ic_accesses += 1
         counters.charge(CATEGORY_EXECUTE, cost.IC_PROBE)
-
         hc = obj.hidden_class
-        handler = site.lookup(hc)
-        if handler is not None:
-            result = handler.execute(obj)
-            if result is not MISS:
-                counters.ic_hits += 1
-                # A slot hit implies MONO or POLY (MEGA holds no slots).
-                if site.state is ICState.MONOMORPHIC:
-                    counters.ic_hits_mono += 1
-                else:
-                    counters.ic_hits_poly += 1
-                if site.was_preloaded(hc):
-                    counters.ic_hits_on_preloaded += 1
-                    if self.tracer is not None:
-                        from repro.stats.tracing import PRELOADED_HIT
-
-                        self.tracer.emit(
-                            PRELOADED_HIT,
-                            site_key=site.info.site_key,
-                            hc_index=hc.index,
-                        )
-                counters.charge(CATEGORY_EXECUTE, cost.HANDLER_EXECUTE)
-                return result
 
         # Megamorphic sites fall back to the shared stub cache, like V8:
         # the site itself stays generic but (map, name) pairs still hit.
@@ -256,27 +241,12 @@ class ICRuntime:
     # -- named stores -----------------------------------------------------------------
 
     def named_store(self, site: ICSite, obj: JSObject, name: str, value: object) -> None:
-        """``obj.name = value`` with inline caching."""
+        """``obj.name = value`` after the VM's inline probe found no slot
+        hit (see :meth:`named_load`)."""
         counters = self.counters
         counters.ic_accesses += 1
         counters.charge(CATEGORY_EXECUTE, cost.IC_PROBE)
-
         hc = obj.hidden_class
-        handler = site.lookup(hc)
-        if handler is not None:
-            result = handler.execute(obj, value)
-            if result is not MISS:
-                counters.ic_hits += 1
-                if site.state is ICState.MONOMORPHIC:
-                    counters.ic_hits_mono += 1
-                else:
-                    counters.ic_hits_poly += 1
-                if site.was_preloaded(hc):
-                    counters.ic_hits_on_preloaded += 1
-                counters.charge(CATEGORY_EXECUTE, cost.HANDLER_EXECUTE)
-                if isinstance(obj, JSFunction) and name == "prototype":
-                    obj.invalidate_constructor_hc()
-                return
 
         # Megamorphic stores also use the shared stub cache (V8-like).
         if site.state is ICState.MEGAMORPHIC:

@@ -79,8 +79,8 @@ FUSED_CMP_JUMP_WIDTH = 2  # BINARY <cmp>;JUMP_IF_FALSE/TRUE
 #: every bytecode already charges, so their modeled cost equals the
 #: generic opcode's and their win is host-level (no operator dispatch
 #: chain).  The specialized property opcodes are *cheaper* than the IC
-#: hit they replace: a generic monomorphic GET_PROP/SET_PROP fast-path
-#: hit pays IC_PROBE + HANDLER_EXECUTE (9) on top of its dispatch, while
+#: hit they replace: a monomorphic GET_PROP/SET_PROP inline-probe hit
+#: pays IC_PROBE + HANDLER_EXECUTE (9) on top of its dispatch, while
 #: GET_PROP_SLOT/SET_PROP_SLOT pay SPECIALIZED_PROP (one hidden-class
 #: identity compare plus a direct slot access) — the quickening win the
 #: bench's modeled-cost gate measures.

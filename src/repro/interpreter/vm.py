@@ -12,18 +12,17 @@ The table is built by naming convention: opcode ``Op.FOO`` dispatches to
 construction (and in ``tests/test_dispatch_table.py``), never silently at
 runtime.
 
-``GET_PROP`` / ``SET_PROP`` carry an inline **MONO/POLY fast path**: the
-access site's :class:`~repro.ic.icvector.ICSite` slot list (up to
-``POLY_LIMIT`` ``(hidden class, handler)`` pairs) is probed with the same
-linear scan + MRU move-to-front reorder as ``ICSite.lookup``, and a
-matching handler runs directly in the dispatch handler — same IC hit
-accounting (including per-tier attribution), same ``ICVector``
-transitions, one less call layer than the generic ``ICRuntime`` path.
-Any other situation (megamorphic site — its slots are empty and hits go
-to the shared stub cache — shape mismatch, handler bailout) falls back
-to the generic path untouched.  ``fastpaths=False`` disables the inline
-paths entirely (used by differential tests and the ``interp_fastpaths``
-config knob).
+``GET_PROP`` / ``SET_PROP`` (and ``OBJ_LIT_PROP``) own the one **IC hit
+path** for named properties: the access site's
+:class:`~repro.ic.icvector.ICSite` slot list (up to ``POLY_LIMIT``
+``(hidden class, handler)`` pairs) is probed inline with a linear scan +
+MRU move-to-front reorder, and a matching handler runs directly in the
+dispatch handler, with the hit accounting (per-tier attribution,
+preloaded hits) done there.  Every other case (a megamorphic site, whose
+slots are empty and whose hits go to the shared stub cache, a shape
+mismatch, a handler bailout) enters the runtime through
+``ICRuntime.named_load``/``named_store``, which never probe the slots
+again.
 
 Guest instruction accounting: each dispatched bytecode charges
 ``cost_model.DISPATCH`` (batched per frame for speed); everything heavier
@@ -102,11 +101,11 @@ _RETURN_PC = -1
 #: there is no meter to credit.
 _NO_STRIDE = (1 << 30) - 1
 
-#: Combined charge of an IC probe plus a handler execution — what a fast-path
-#: hit costs, identical in total to the generic path's two charges.
+#: Combined charge of an IC probe plus a handler execution: what an inline
+#: IC hit costs.
 _IC_HIT_COST = cost.IC_PROBE + cost.HANDLER_EXECUTE
 
-#: Hoisted for the fast-path tier check (module-level lookup is cheaper
+#: Hoisted for the inline probe's tier check (module-level lookup is cheaper
 #: than the enum attribute access in the hot handlers).
 _MONOMORPHIC = ICState.MONOMORPHIC
 
@@ -145,7 +144,6 @@ class VM:
         ic_runtime: ICRuntime,
         feedback: FeedbackState,
         time_source: typing.Callable[[], float] | None = None,
-        fastpaths: bool = True,
         budget: ExecutionBudget | None = None,
         cancel_token: CancelToken | None = None,
     ):
@@ -153,7 +151,6 @@ class VM:
         self.counters = counters
         self.ic = ic_runtime
         self.feedback = feedback
-        self.fastpaths = fastpaths
         self._call_depth = 0
         self._time_source = time_source or time.time
         self._dispatch = self._build_dispatch_table()
@@ -187,9 +184,6 @@ class VM:
                     f"opcode {op.name} has no _op_{op.name.lower()} handler"
                 )
             table[op] = handler
-        if not self.fastpaths:
-            table[Op.GET_PROP] = self._op_get_prop_generic
-            table[Op.SET_PROP] = self._op_set_prop_generic
         return table
 
     def dispatch_handler(self, op: Op):
@@ -338,11 +332,9 @@ class VM:
 
     # -- property access with primitives ----------------------------------------
 
-    def get_property(self, obj: object, name: str, site) -> object:
-        """GET_PROP: primitives take uncached fast paths; objects go through
-        the IC."""
-        if isinstance(obj, JSObject):
-            return self.ic.named_load(site, obj, name)
+    def get_property(self, obj: object, name: str) -> object:
+        """A named property of a primitive receiver (uncached; objects go
+        through the IC)."""
         if isinstance(obj, str):
             if name == "length":
                 return float(len(obj))
@@ -358,16 +350,6 @@ class VM:
         raise self.guest_type_error(
             f"Cannot read properties of {to_string(obj)} (reading '{name}')"
         )
-
-    def set_property(self, obj: object, name: str, value: object, site) -> None:
-        if isinstance(obj, JSObject):
-            self.ic.named_store(site, obj, name, value)
-            return
-        if obj is UNDEFINED or obj is NULL:
-            raise self.guest_type_error(
-                f"Cannot set properties of {to_string(obj)} (setting '{name}')"
-            )
-        # Writes to primitives are silently dropped (non-strict JS).
 
     # -- the dispatch loop -------------------------------------------------------
 
@@ -526,7 +508,7 @@ class VM:
     # object access sites
 
     def _note_preloaded_hit(self, site, hc) -> None:
-        """Fast-path twin of the generic path's preloaded-hit accounting."""
+        """Count, and trace, a hit on a slot RIC preloaded."""
         self.counters.ic_hits_on_preloaded += 1
         tracer = self.ic.tracer
         if tracer is not None:
@@ -537,20 +519,14 @@ class VM:
             )
 
     def _op_get_prop(self, frame: Frame, a: int, b: int, pc: int) -> int:
-        """GET_PROP with the inline MONO/POLY fast path.
+        """GET_PROP: the inline MONO/POLY probe, else the IC miss path.
 
-        The probe is the same linear scan + move-to-front reorder as
-        :meth:`ICSite.lookup`, inlined: up to POLY_LIMIT slots are
-        shape-checked in MRU order and a hit past the front is promoted,
-        so slot order evolves identically to the generic path.
-        Megamorphic sites hold no slots and fall straight through to the
-        generic path's shared stub cache.
-
-        Invariants vs the generic path (checked by test_dispatch_table
-        and the differential wall): identical counter totals on a hit
-        (including per-tier attribution), identical ICVector transitions
-        (the fast path never installs or evicts slots), and fallback to
-        the untouched generic path in every non-hit situation.
+        Up to POLY_LIMIT slots are shape-checked in MRU order and a hit
+        past the front is promoted (the same scan as
+        :meth:`ICSite.lookup`).  The probe only reorders slots; installs,
+        evictions and tier transitions happen on the miss path.
+        Megamorphic sites hold no slots and go straight to the miss
+        path's shared stub cache.
         """
         stack = frame.stack
         obj = stack[-1]
@@ -562,7 +538,7 @@ class VM:
                 for index, entry in enumerate(slots):
                     if entry[0] is hc:
                         if index:
-                            # MRU promotion, mirroring ICSite.lookup.
+                            # MRU promotion, as in ICSite.lookup.
                             del slots[index]
                             slots.insert(0, entry)
                         result = entry[1].execute(obj)
@@ -586,18 +562,12 @@ class VM:
                         break
             stack[-1] = self.ic.named_load(site, obj, frame.names[a])
             return pc
-        stack.pop()
-        stack.append(self.get_property(obj, frame.names[a], frame.sites[b]))
-        return pc
-
-    def _op_get_prop_generic(self, frame: Frame, a: int, b: int, pc: int) -> int:
-        stack = frame.stack
-        obj = stack.pop()
-        stack.append(self.get_property(obj, frame.names[a], frame.sites[b]))
+        stack[-1] = self.get_property(obj, frame.names[a])
         return pc
 
     def _op_set_prop(self, frame: Frame, a: int, b: int, pc: int) -> int:
-        """SET_PROP with the inline MONO/POLY fast path (see _op_get_prop)."""
+        """SET_PROP: the inline MONO/POLY probe, else the IC miss path
+        (see _op_get_prop)."""
         stack = frame.stack
         obj = stack[-2]
         if isinstance(obj, JSObject):
@@ -635,20 +605,27 @@ class VM:
                             stack[-1] = value
                             return pc
                         break
-        return self._op_set_prop_generic(frame, a, b, pc)
-
-    def _op_set_prop_generic(self, frame: Frame, a: int, b: int, pc: int) -> int:
-        stack = frame.stack
+            value = stack.pop()
+            self.ic.named_store(site, obj, frame.names[a], value)
+            stack[-1] = value
+            return pc
         value = stack.pop()
-        obj = stack.pop()
-        self.set_property(obj, frame.names[a], value, frame.sites[b])
-        stack.append(value)
+        if obj is UNDEFINED or obj is NULL:
+            raise self.guest_type_error(
+                f"Cannot set properties of {to_string(obj)} "
+                f"(setting '{frame.names[a]}')"
+            )
+        # Writes to other primitives are silently dropped (non-strict JS).
+        stack[-1] = value
         return pc
 
     def _op_obj_lit_prop(self, frame: Frame, a: int, b: int, pc: int) -> int:
+        """A literal's property: SET_PROP that leaves the literal, not the
+        value, on the stack."""
         stack = frame.stack
-        value = stack.pop()
-        self.set_property(stack[-1], frame.names[a], value, frame.sites[b])
+        literal = stack[-2]
+        pc = self._op_set_prop(frame, a, b, pc)
+        stack[-1] = literal
         return pc
 
     def _op_get_index(self, frame: Frame, a: int, b: int, pc: int) -> int:
@@ -1027,8 +1004,8 @@ class VM:
 
         One hidden-class identity compare against the site's front slot,
         then a raw ``obj.slots[offset]`` — no handler object, no probe
-        loop.  IC accounting is byte-identical to the generic fast path's
-        hit (accesses, hits, tier, preloaded attribution) so quickening
+        loop.  IC accounting is byte-identical to an inline-probe hit of
+        GET_PROP (accesses, hits, tier, preloaded attribution) so quickening
         never perturbs IC statistics; only the modeled cost differs
         (SPECIALIZED_PROP instead of IC_PROBE + HANDLER_EXECUTE).
         """
@@ -1138,7 +1115,7 @@ class VM:
         if isinstance(obj, str):
             if isinstance(key, float) and key == int(key) and 0 <= int(key) < len(obj):
                 return obj[int(key)]
-            return self.get_property(obj, to_property_key(key), site)
+            return self.get_property(obj, to_property_key(key))
         raise self.guest_type_error(
             f"Cannot read properties of {to_string(obj)} (reading '{to_string(key)}')"
         )

@@ -119,14 +119,32 @@ def number_remainder(dividend: float, divisor: float) -> float:
 
 
 def number_to_string(value: float) -> str:
-    """JS Number-to-string: integral floats print without the '.0'."""
+    """JS Number::toString (ECMA-262 §6.1.6.1.20) over the shortest
+    round-trip digits ``repr`` finds: plain decimal notation for
+    1e-6 <= |value| < 1e21, else exponent form (``1e-7``, ``1.5e+21``)."""
     if math.isnan(value):
         return "NaN"
     if math.isinf(value):
         return "Infinity" if value > 0 else "-Infinity"
-    if value == int(value) and abs(value) < 1e21:
+    if value == int(value) and abs(value) < 2**53:
         return str(int(value))
-    return repr(value)
+    if value < 0:
+        return "-" + number_to_string(-value)
+    mantissa, _, exponent = repr(value).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("0")
+    # value == 0.<digits> * 10**point
+    point = len(digits) - len(fraction) + int(exponent or 0)
+    digits = digits.rstrip("0")
+    if len(digits) <= point <= 21:
+        return digits + "0" * (point - len(digits))
+    if 0 < point <= 21:
+        return digits[:point] + "." + digits[point:]
+    if -6 < point <= 0:
+        return "0." + "0" * -point + digits
+    sign = "+" if point > 0 else "-"
+    tail = "." + digits[1:] if len(digits) > 1 else ""
+    return f"{digits[0]}{tail}e{sign}{abs(point - 1)}"
 
 
 def to_string(value: object) -> str:

@@ -196,7 +196,7 @@ def _rewrite(
                 and fb.offset >= 0
                 # Prototype stores invalidate constructor hidden classes;
                 # the typed store skips that check, so never specialize
-                # them (the generic fast path stays).
+                # them (the plain SET_PROP stays).
                 and code.names[a] != "prototype"
             ):
                 spec_table.append((a, fb.offset))

@@ -53,17 +53,16 @@ class Counters:
     #: SET_PROP).  ``mono``/``poly`` split ICVector slot hits by the
     #: site's state at hit time; ``mega`` counts megamorphic stub-cache
     #: hits.  Keyed-element and global sites keep their own untiered
-    #: accounting (they always take the generic path in both fast-path
-    #: modes), so these three do *not* sum to ``ic_hits``.
+    #: accounting (``ICRuntime`` probes them, not the VM's inline named
+    #: probe), so these three do *not* sum to ``ic_hits``.
     ic_hits_mono: int = 0
     ic_hits_poly: int = 0
     ic_hits_mega: int = 0
     #: IC tier transitions: ``poly`` counts MONO→POLY (a second shape
     #: installed at a site), ``mega`` counts →MEGA (the slot list
     #: overflowed POLY_LIMIT and was dumped).  Counted wherever slots are
-    #: installed — the generic miss path and RIC preloading — never in
-    #: the VM fast paths (which only probe), so the counts are identical
-    #: under ``interp_fastpaths`` True and False by construction.
+    #: installed — the IC miss path and RIC preloading — never in the
+    #: VM's inline probe or the quickened slot ops, which only probe.
     ic_poly_transitions: int = 0
     ic_mega_transitions: int = 0
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.bytecode.compiler import compile_source
@@ -12,6 +15,12 @@ from repro.interpreter.vm import VM
 from repro.runtime.builtins import install_builtins
 from repro.runtime.context import Runtime
 from repro.stats.counters import Counters
+
+
+def all_counters(counters) -> dict:
+    """Every counter field (``as_dict`` omits some, e.g. TOAST lookups)
+    plus the derived values ``as_dict`` reports, as plain JSON data."""
+    return json.loads(json.dumps({**dataclasses.asdict(counters), **counters.as_dict()}))
 
 
 class ExecutionResult:

@@ -13,9 +13,9 @@ observationally invisible:
   never be refused),
 
 while still actually engaging the mechanism (preloads happen, misses go
-down).  The interpreter fast paths are enabled (the default), so this
-suite also guards the monomorphic GET_PROP/SET_PROP shortcuts against
-semantic drift.
+down).  Every named property access goes through the VM's inline IC
+probe (GET_PROP/SET_PROP, the one hit path) or its miss path, so this
+suite also guards that probe against semantic drift.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ WORKLOAD_NAMES = (
 #: Counters allowed to differ between a quickened and a generic reuse run
 #: of the same workload: the specialization tallies themselves, plus the
 #: modeled instruction costs (typed property hits charge SPECIALIZED_PROP
-#: instead of the IC fast-path cost — that discount is the whole point).
+#: instead of the inline IC hit cost — that discount is the whole point).
 #: Everything else — IC hit/miss/tier counts included — must be *exactly*
 #: equal: specialization may change how fast a site is serviced, never
 #: how often it hits or what it observes.
@@ -292,8 +292,8 @@ class TestSpecializeDifferential:
         }
         assert not divergent, f"{name}: unexpected counter drift: {divergent}"
         # The IC layer in particular is untouched: typed property hits
-        # book the same accesses/hits/tier counts the generic fast path
-        # would have.
+        # book the same accesses/hits/tier counts the inline probe would
+        # have.
         for key in ("ic_accesses", "ic_hits", "ic_misses",
                     "ic_hits_mono", "ic_hits_poly", "ic_hits_mega",
                     "ic_hits_on_preloaded"):

@@ -6,9 +6,9 @@ Guards the PR-2 interpreter rewrite:
   opcode without a handler must fail loudly (at VM construction *and*
   here),
 * gap values between opcodes stay "unknown opcode" errors,
-* the monomorphic GET_PROP/SET_PROP fast paths are observationally
-  identical to the generic miss path: same output, same counters (to the
-  instruction), same ICVector transitions.
+* a property-access stress program, on a bare VM, keeps the output,
+  counters (to the instruction), heap and ICVector transitions pinned
+  in ``tests/golden/property_paths.json`` (see ``tests/property_paths.py``).
 """
 
 from __future__ import annotations
@@ -24,22 +24,12 @@ from repro.lang.errors import JSLRuntimeError
 from repro.runtime.builtins import install_builtins
 from repro.runtime.context import Runtime
 from repro.stats.counters import Counters
-
-
-def make_vm(fastpaths: bool = True) -> VM:
-    runtime = Runtime(seed=3)
-    counters = Counters()
-    runtime.hidden_classes.on_created = lambda hc: None
-    install_builtins(runtime)
-    return VM(
-        runtime, counters, ICRuntime(runtime, counters), FeedbackState(),
-        fastpaths=fastpaths,
-    )
+from tests.property_paths import fingerprint, golden_entry, ic_transcript
 
 
 class TestTableConstruction:
     def test_every_opcode_has_its_own_handler(self):
-        vm = make_vm()
+        vm = _construct(VM)
         names = set()
         for op in Op:
             handler = vm.dispatch_handler(op)
@@ -52,7 +42,7 @@ class TestTableConstruction:
         assert len(names) == len(list(Op))
 
     def test_gap_values_raise_unknown_opcode(self):
-        vm = make_vm()
+        vm = _construct(VM)
         gaps = [value for value in range(max(Op) + 1) if value not in set(Op)]
         assert gaps, "Op values currently have gaps; update this test if not"
         for value in gaps:
@@ -68,20 +58,6 @@ class TestTableConstruction:
         with pytest.raises(NotImplementedError, match="LOAD_CONST"):
             _construct(IncompleteVM)
 
-    def test_fastpaths_flag_swaps_in_generic_property_handlers(self):
-        fast = make_vm(fastpaths=True)
-        slow = make_vm(fastpaths=False)
-        assert fast.dispatch_handler(Op.GET_PROP).__func__.__name__ == "_op_get_prop"
-        assert fast.dispatch_handler(Op.SET_PROP).__func__.__name__ == "_op_set_prop"
-        assert (
-            slow.dispatch_handler(Op.GET_PROP).__func__.__name__
-            == "_op_get_prop_generic"
-        )
-        assert (
-            slow.dispatch_handler(Op.SET_PROP).__func__.__name__
-            == "_op_set_prop_generic"
-        )
-
 
 def _construct(vm_class) -> VM:
     runtime = Runtime(seed=3)
@@ -93,7 +69,7 @@ def _construct(vm_class) -> VM:
     )
 
 
-# -- fast path vs generic path differential -----------------------------------
+# -- property-path stress program, against the golden -------------------------
 
 #: Exercises every IC state the sites can reach: monomorphic hits,
 #: polymorphic and megamorphic dispatch, add-transitions, prototype-chain
@@ -142,50 +118,40 @@ console.log("transitions", grown.a + grown.b + grown.c + grown.d);
 """
 
 
-def run_stress(fastpaths: bool):
-    vm = make_vm(fastpaths=fastpaths)
+def run_stress() -> VM:
+    vm = _construct(VM)
     code = compile_source(PROPERTY_STRESS, "stress.jsl")
     vm.feedback.register_script(code)
     vm.run_code(code)
     return vm
 
 
-def ic_transcript(vm: VM) -> list[tuple]:
-    """Canonical per-site IC state: comparable across two identical runs
-    (hidden-class addresses are deterministic for a fixed seed)."""
-    transcript = []
-    for site in vm.feedback.all_sites():
-        transcript.append(
-            (
-                site.info.site_key,
-                site.state.value,
-                tuple(
-                    (hc.address, handler.kind, handler.is_context_independent)
-                    for hc, handler in site.slots
-                ),
-            )
-        )
-    return transcript
-
-
 class TestFastPathEquivalence:
+    """The golden was made while the inline probe and a generic twin
+    were cross-checked on this program; both agreed on all of it."""
+
     @pytest.fixture(scope="class")
-    def vms(self):
-        return run_stress(fastpaths=True), run_stress(fastpaths=False)
+    def run(self):
+        vm = run_stress()
+        result = fingerprint(
+            vm.counters, vm.runtime.console_output, vm.runtime, vm.feedback
+        )
+        return vm, result, golden_entry("stress", result)
 
-    def test_same_console_output(self, vms):
-        fast, slow = vms
-        assert fast.runtime.console_output == slow.runtime.console_output
-        assert len(fast.runtime.console_output) == 6
+    def test_same_console_output(self, run):
+        vm, result, golden = run
+        assert result["output"] == golden["output"]
+        assert len(vm.runtime.console_output) == 6
 
-    def test_same_counters_to_the_instruction(self, vms):
-        fast, slow = vms
-        assert fast.counters.as_dict() == slow.counters.as_dict()
-        assert fast.counters.ic_hits > 0 and fast.counters.ic_misses > 0
+    def test_same_counters_to_the_instruction(self, run):
+        vm, result, golden = run
+        assert result["counters"] == golden["counters"]
+        assert vm.counters.ic_hits > 0 and vm.counters.ic_misses > 0
 
-    def test_same_icvector_transitions(self, vms):
-        fast, slow = vms
-        assert ic_transcript(fast) == ic_transcript(slow)
-        states = {entry[1] for entry in ic_transcript(fast)}
+    def test_same_icvector_transitions(self, run):
+        vm, result, golden = run
+        assert result["ic"] == golden["ic"]
+        assert result["heap"] == golden["heap"]
+        states = {entry[1] for entry in ic_transcript(vm.feedback)}
         # The stress program must actually reach all three warm states.
         assert {"monomorphic", "polymorphic", "megamorphic"} <= states

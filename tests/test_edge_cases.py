@@ -42,10 +42,26 @@ class TestLexerCorners:
         assert tokenize('"a\\\nb"')[0].value == "ab"
 
 
+#: Number literals and the text node prints for them.
+_NUMBER_STRINGS = [
+    ("1e-7", "1e-7"),
+    ("0.000001", "0.000001"),
+    ("0.00001", "0.00001"),
+    ("1.5e-7", "1.5e-7"),
+    ("-1e-7", "-1e-7"),
+    ("123456789012345680000", "123456789012345680000"),
+    ("1152921504606846976", "1152921504606847000"),
+    ("1e21", "1e+21"),
+    ("1e300", "1e+300"),
+    ("5e-324", "5e-324"),
+    ("0.30000000000000004", "0.30000000000000004"),
+]
+
+
 class TestNumberFormatting:
     def test_huge_integral_numbers_keep_repr(self):
-        # Beyond 1e21 JS switches to exponent form; we use repr.
-        assert "e" in number_to_string(1e22) or "." in number_to_string(1e22)
+        # From 1e21 on, JS switches to exponent form.
+        assert number_to_string(1e22) == "1e+22"
 
     def test_negative_zero(self):
         assert number_to_string(-0.0) == "0"
@@ -54,6 +70,15 @@ class TestNumberFormatting:
         assert console_of("console.log(0.1 + 0.2 === 0.3, 0.5 + 0.25);") == [
             "false 0.75"
         ]
+
+    @pytest.mark.parametrize("literal, expected", _NUMBER_STRINGS)
+    def test_console_log_prints_like_node(self, literal, expected):
+        assert console_of(f"console.log({literal});") == [expected]
+
+    @pytest.mark.parametrize("literal, expected", _NUMBER_STRINGS)
+    def test_number_keyed_property_name(self, literal, expected):
+        source = f"var o = {{}}; o[{literal}] = 1; for (var k in o) console.log(k);"
+        assert console_of(source) == [expected]
 
 
 #: ``/`` and ``%`` corners with the results node prints.  ``{0}``, ``{1}``

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.baselines.snapshot import serialize_user_globals
 from repro.core.config import RICConfig
 from repro.core.engine import Engine
+from tests.property_paths import golden_entry, protocol_fingerprints
 
 # -- program generator ----------------------------------------------------------
 
@@ -181,11 +182,12 @@ class TestGeneratedPrograms:
         assert ric.console_output == engine.run(source, name="fuzz").console_output
 
 
-# -- fast-path cross-check (seeded, deterministic) -------------------------------
+# -- property-path corpus (seeded, deterministic) --------------------------------
 #
 # Unlike the hypothesis pass above, this generator is driven by a plain
 # ``random.Random(seed)`` so every CI run executes the *same* corpus — a
-# reproducible wall in front of the PR-2 GET_PROP/SET_PROP fast paths.
+# reproducible wall in front of the GET_PROP/SET_PROP inline probe,
+# checked against ``tests/golden/property_paths.json``.
 # Programs are deliberately property-access-heavy: shared accessor
 # functions over object pools of mixed shapes (sites go mono → poly →
 # megamorphic), add-transitions, prototype-method calls, deletes and
@@ -279,38 +281,20 @@ def property_heavy_program(rng: random.Random) -> str:
     return "\n".join(lines)
 
 
-def run_fastpath_protocol(source: str, fastpaths: bool, seed: int = 9) -> dict:
-    """Full protocol (cold -> extract -> reuse) under one fast-path mode,
-    fingerprinted: output, counters and address-free heap for both runs."""
-    engine = Engine(config=RICConfig(interp_fastpaths=fastpaths), seed=seed)
-    cold = engine.run(source, name="fuzz")
-    cold_state = serialize_user_globals(engine.last_run.runtime)
-    record = engine.extract_icrecord()
-    reused = engine.run(source, name="fuzz", icrecord=record)
-    reused_state = serialize_user_globals(engine.last_run.runtime)
-    return {
-        "cold_output": cold.console_output,
-        "cold_counters": cold.counters.as_dict(),
-        "cold_state": cold_state,
-        "reused_output": reused.console_output,
-        "reused_counters": reused.counters.as_dict(),
-        "reused_state": reused_state,
-    }
-
-
 class TestFastPathCrossCheck:
-    """The GET_PROP/SET_PROP fast paths must be invisible: identical output,
-    identical heap, identical counters — cold *and* under RIC reuse."""
+    """The GET_PROP/SET_PROP inline probe must be invisible: output, heap,
+    IC state and every counter, cold *and* under RIC reuse, match the
+    golden made while it was cross-checked against a generic hit path."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_fast_path_matches_generic_path(self, seed):
         source = property_heavy_program(random.Random(1000 + seed))
-        fast = run_fastpath_protocol(source, fastpaths=True)
-        generic = run_fastpath_protocol(source, fastpaths=False)
-        assert fast == generic
+        result = protocol_fingerprints(source)
+        assert result == golden_entry(f"property_heavy-{1000 + seed}", result)
         # The corpus must actually lean on the IC machinery to mean anything.
-        assert fast["cold_counters"]["ic_accesses"] > 20
-        assert fast["cold_counters"]["ic_hits"] > 0
+        counters = result["specialize=0"]["cold"]["counters"]
+        assert counters["ic_accesses"] > 20
+        assert counters["ic_hits"] > 0
 
     def test_generator_is_deterministic(self):
         assert property_heavy_program(random.Random(7)) == property_heavy_program(
@@ -390,36 +374,36 @@ def polymorphic_shape_program(rng: random.Random, degrees) -> str:
 
 
 class TestPolymorphicShapeCrossCheck:
-    """The POLY/MEGA tier fast paths under the same invisibility contract:
-    for chosen shape populations, fast-path and generic execution agree on
-    output, heap and every counter — and the MEGA boundary sits exactly at
-    POLY_LIMIT shapes."""
+    """The POLY/MEGA tiers of the inline probe under the same invisibility
+    contract: for chosen shape populations, output, heap, IC state and
+    every counter match the golden made while fast-path and generic
+    execution agreed — and the MEGA boundary sits exactly at POLY_LIMIT
+    shapes."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_poly_fast_path_matches_generic_path(self, seed):
         rng = random.Random(5000 + seed)
         degrees = rng.sample([2, 3, 4, 5, 6], rng.randint(2, 4))
         source = polymorphic_shape_program(rng, degrees)
-        fast = run_fastpath_protocol(source, fastpaths=True)
-        generic = run_fastpath_protocol(source, fastpaths=False)
-        assert fast == generic
+        result = protocol_fingerprints(source)
+        assert result == golden_entry(f"polymorphic-{5000 + seed}", result)
         # The corpus must actually reach the POLY tier to mean anything.
-        assert fast["cold_counters"]["ic_hits_poly"] > 0
+        assert result["specialize=0"]["cold"]["counters"]["ic_hits_poly"] > 0
 
     @pytest.mark.parametrize("degree", [2, 3, 4, 5, 7])
     def test_each_degree_cross_checks(self, degree):
         source = polymorphic_shape_program(random.Random(degree), [degree])
-        fast = run_fastpath_protocol(source, fastpaths=True)
-        generic = run_fastpath_protocol(source, fastpaths=False)
-        assert fast == generic
+        result = protocol_fingerprints(source)
+        assert result == golden_entry(f"degree-{degree}", result)
 
     def test_mega_boundary_at_poly_limit(self):
         """Exactly POLY_LIMIT shapes: the deepest POLY tier, no MEGA."""
         from repro.ic.icvector import POLY_LIMIT
 
         source = polymorphic_shape_program(random.Random(42), [POLY_LIMIT])
-        result = run_fastpath_protocol(source, fastpaths=True)
-        counters = result["cold_counters"]
+        result = protocol_fingerprints(source)
+        assert result == golden_entry(f"mega_boundary-{POLY_LIMIT}", result)
+        counters = result["specialize=0"]["cold"]["counters"]
         assert counters["ic_hits_poly"] > 0
         assert counters["ic_poly_transitions"] > 0
         assert counters["ic_mega_transitions"] == 0
@@ -430,12 +414,11 @@ class TestPolymorphicShapeCrossCheck:
         from repro.ic.icvector import POLY_LIMIT
 
         source = polymorphic_shape_program(random.Random(42), [POLY_LIMIT + 1])
-        result = run_fastpath_protocol(source, fastpaths=True)
-        counters = result["cold_counters"]
+        result = protocol_fingerprints(source)
+        assert result == golden_entry(f"mega_boundary-{POLY_LIMIT + 1}", result)
+        counters = result["specialize=0"]["cold"]["counters"]
         assert counters["ic_mega_transitions"] >= 1
         assert counters["ic_hits_mega"] > 0
-        # And it still cross-checks against the generic interpreter.
-        assert result == run_fastpath_protocol(source, fastpaths=False)
 
     def test_polymorphic_generator_is_deterministic(self):
         assert polymorphic_shape_program(
@@ -566,7 +549,8 @@ def type_unstable_program(rng: random.Random) -> str:
 
 def run_specialize_protocol(scripts, specialize: bool, seed: int = 21) -> dict:
     """Full protocol (Initial -> extract -> cold -> reuse) under one
-    specialize mode, fingerprinted like :func:`run_fastpath_protocol`."""
+    specialize mode: output, counters and address-free heap for the cold
+    and the reuse run."""
     engine = Engine(config=RICConfig(specialize=specialize), seed=seed)
     engine.run(scripts, name="spec")
     record = engine.extract_icrecord()

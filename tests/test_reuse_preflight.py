@@ -40,6 +40,7 @@ from repro.ric.reuse import ReuseSession
 from repro.ric.serialize import record_from_envelope, record_to_envelope
 from repro.ric.store import RecordStore
 from repro.workloads import WORKLOADS
+from tests.helpers import all_counters
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "reuse_counters.json"
 REGOLD = os.environ.get("RIC_REGOLD") == "1"
@@ -66,12 +67,6 @@ def page(order) -> list[tuple[str, str]]:
 
 def page_order(seed: int) -> list[str]:
     return random.Random(seed).sample(LIBRARIES, len(LIBRARIES))
-
-
-def all_counters(counters) -> dict:
-    """Every counter field (``as_dict`` omits some, e.g. TOAST lookups)
-    plus the derived values ``as_dict`` reports, as plain JSON data."""
-    return json.loads(json.dumps({**dataclasses.asdict(counters), **counters.as_dict()}))
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ from repro.stats.tracing import (
     TraceEvent,
     Tracer,
 )
+from repro.workloads import polyshapes
 
 SOURCE = """
 function C() { this.v = 1; }
@@ -63,6 +64,18 @@ class TestTracerBasics:
         )
         assert tracer.count(HC_CREATED) == profile.counters.hidden_classes_created
         assert tracer.count(HANDLER_GENERATED) == profile.counters.handlers_generated
+
+        # One PRELOADED_HIT per counted preloaded hit, loads and stores
+        # alike, on a reuse run with thousands of them.
+        engine = Engine(seed=9)
+        engine.run(polyshapes.SOURCE, name="polyshapes")
+        record = engine.extract_icrecord()
+        tracer = Tracer()
+        profile = engine.run(
+            polyshapes.SOURCE, name="polyshapes", icrecord=record, tracer=tracer
+        )
+        assert profile.counters.ic_hits_on_preloaded > 1000
+        assert tracer.count(PRELOADED_HIT) == profile.counters.ic_hits_on_preloaded
 
     def test_validation_order_builtins_first(self):
         _, reuse = traced_protocol()
