@@ -19,6 +19,7 @@ from repro.bytecode.code import CodeObject, FeedbackSlotInfo, SiteKind
 from repro.bytecode.opcodes import BINOP_BY_SPELLING, UNOP_BY_SPELLING, BinOp, Op
 from repro.lang import ast_nodes as ast
 from repro.lang.errors import JSLCompileError, SourcePosition
+from repro.runtime.values import element_index
 
 
 class _Scope:
@@ -551,11 +552,12 @@ class Compiler:
     def _expr_ObjectLiteral(self, fn: _FunctionCompiler, node: ast.ObjectLiteral) -> None:
         fn.emit(Op.MAKE_OBJECT)
         for prop in node.properties:
-            if _is_canonical_index(prop.key):
+            index = element_index(prop.key)
+            if index is not None:
                 # Numeric keys are element properties (JS semantics), so
                 # they go through the keyed-store path, not the layout.
                 fn.emit(Op.DUP)
-                fn.emit(Op.LOAD_CONST, fn.const(float(prop.key)))
+                fn.emit(Op.LOAD_CONST, fn.const(float(index)))
                 self._expr(fn, prop.value)
                 slot = fn.feedback(SiteKind.KEYED_STORE, prop.position, None)
                 fn.emit(Op.SET_INDEX, slot)
@@ -817,11 +819,6 @@ class _Declarations:
         if name not in self._seen_vars:
             self._seen_vars.add(name)
             self.vars.append((name, position))
-
-
-def _is_canonical_index(key: str) -> bool:
-    """True for object-literal keys that are canonical array indices."""
-    return key.isdigit() and (key == "0" or not key.startswith("0"))
 
 
 def _collect_declarations(body: list[ast.Statement]) -> _Declarations:

@@ -50,10 +50,12 @@ class ICSite:
 
         Linear scan over at most :data:`POLY_LIMIT` slots with
         move-to-front (MRU) reordering: a polymorphic site keeps its
-        hottest shape first so the common case pays one compare.  Keyed
-        and global sites are probed here, and RIC preloading checks a
-        slot with it; named property sites are probed by the same scan
-        and reorder inlined in ``VM._op_get_prop``/``_op_set_prop``.
+        hottest shape first so the common case pays one compare.  The
+        VM's global and keyed-element probes compare the front slot
+        inline and call this only on a mismatch; named property sites
+        inline the whole scan (``VM._op_get_prop``/``_op_set_prop``); RIC
+        preloading checks a slot with it.  Every hit path therefore
+        reorders slots the same way.
         """
         slots = self.slots
         for index, entry in enumerate(slots):

@@ -1,17 +1,19 @@
 """The runtime IC miss path (paper §2.3/§2.4).
 
-Every object access site first probes its ICVector slot; on a miss the
+Every object access site first probes its ICVector slots; on a miss the
 runtime is entered: it performs the full property lookup, possibly creates
 a hidden class (transitioning stores), generates a specialised handler and
 updates the ICVector — all of which is charged to the ``ic_miss``
 instruction category, reproducing the overhead the paper's Figure 5
 measures.
 
-:class:`ICRuntime` is shared by the VM's property opcodes.  Named
-property sites are probed inline by the VM (``VM._op_get_prop``/
-``_op_set_prop``), which enters :meth:`ICRuntime.named_load`/
-:meth:`~ICRuntime.named_store` only when no slot hit; keyed and global
-sites are probed here.  When a RIC reuse session is attached,
+The probe is the VM's, inline in the dispatch handler of every site kind
+(``VM._op_get_prop``/``_op_set_prop``, ``_op_get_index``/
+``_op_set_index`` for element keys, ``_op_load_global``/
+``_op_load_global_soft``/``_op_store_global``).  :class:`ICRuntime` is
+entered when no slot hit, and for every string key, and never scans the
+slots again; it owns the shared stub cache that serves megamorphic
+named sites and string keys.  When a RIC reuse session is attached,
 hidden-class creations flow to it (for validation + dependent-site
 preloading) and reuse-run misses are attributed to the paper's Table 4
 buckets (Handler / Global / Other).
@@ -40,7 +42,7 @@ from repro.ic.icvector import ICSite, ICState
 from repro.lang.errors import JSLReferenceError
 from repro.runtime.context import Runtime
 from repro.runtime.objects import JSArray, JSFunction, JSObject
-from repro.runtime.values import UNDEFINED
+from repro.runtime.values import UNDEFINED, element_index, to_property_key
 from repro.stats.counters import (
     CATEGORY_EXECUTE,
     CATEGORY_IC_MISS,
@@ -54,8 +56,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 
 class ICRuntime:
-    """Implements the runtime miss path, and the probes of keyed and
-    global sites."""
+    """The miss path of every IC site kind, and the stub cache."""
 
     __slots__ = (
         "runtime",
@@ -312,29 +313,25 @@ class ICRuntime:
     # -- keyed access --------------------------------------------------------------------
 
     def keyed_load(self, site: ICSite, obj: JSObject, key: object) -> object:
-        """``obj[key]``.  Integer keys get element ICs; string keys go
-        through the runtime every time (uncached, like a megamorphic
-        KeyedLoadIC)."""
+        """``obj[key]`` after the VM's inline probe found no slot hit.
+
+        Element keys get element ICs and always miss here; string keys go
+        through the shared stub cache (uncached per site, like a
+        megamorphic KeyedLoadIC).
+        """
         counters = self.counters
         counters.ic_accesses += 1
         counters.charge(CATEGORY_EXECUTE, cost.IC_PROBE)
 
-        index = _as_element_index(key)
+        index = element_index(key)
         hc = obj.hidden_class
         if index is not None:
-            handler = site.lookup(hc)
-            if handler is not None and isinstance(handler, LoadElementHandler):
-                counters.ic_hits += 1
-                counters.charge(CATEGORY_EXECUTE, cost.HANDLER_EXECUTE)
-                return handler.execute(obj, index)
             counters.record_miss(self._classify_miss(site, hc))
             counters.charge(CATEGORY_IC_MISS, cost.RUNTIME_ENTRY)
             found, value = obj.get_element(index)
             self._record_handler_generated(self._load_element)
             self._install(site, hc, self._load_element)
             return value if found else UNDEFINED
-
-        from repro.runtime.values import to_property_key
 
         name = to_property_key(key)
         stub_key = (hc.address, name, False)
@@ -369,28 +366,21 @@ class ICRuntime:
         return lookup.value
 
     def keyed_store(self, site: ICSite, obj: JSObject, key: object, value: object) -> None:
-        """``obj[key] = value``; same caching policy as :meth:`keyed_load`."""
+        """``obj[key] = value`` after the VM's inline probe found no slot
+        hit; same caching policy as :meth:`keyed_load`."""
         counters = self.counters
         counters.ic_accesses += 1
         counters.charge(CATEGORY_EXECUTE, cost.IC_PROBE)
 
-        index = _as_element_index(key)
+        index = element_index(key)
         hc = obj.hidden_class
         if index is not None:
-            handler = site.lookup(hc)
-            if handler is not None and isinstance(handler, StoreElementHandler):
-                counters.ic_hits += 1
-                counters.charge(CATEGORY_EXECUTE, cost.HANDLER_EXECUTE)
-                handler.execute(obj, index, value)
-                return
             counters.record_miss(self._classify_miss(site, hc))
             counters.charge(CATEGORY_IC_MISS, cost.RUNTIME_ENTRY)
             obj.set_element(index, value)
             self._record_handler_generated(self._store_element)
             self._install(site, hc, self._store_element)
             return
-
-        from repro.runtime.values import to_property_key
 
         name = to_property_key(key)
         stub_key = (hc.address, name, True)
@@ -436,11 +426,13 @@ class ICRuntime:
     # -- global object access ----------------------------------------------------------------
 
     def global_load(self, site: ICSite, name: str, soft: bool = False) -> object:
-        """Load of a global variable through the global object's IC.
+        """Load of a global variable after the VM's inline probe found no
+        slot for the global object's hidden class.
 
         Global ICs are context-dependent (load-order sensitive), so RIC
         never preloads them and their reuse-run misses land in Table 4's
-        "Global" column.
+        "Global" column.  ``soft`` (``typeof name``) reads an absent
+        global as undefined instead of throwing.
         """
         counters = self.counters
         counters.ic_accesses += 1
@@ -448,14 +440,6 @@ class ICRuntime:
 
         global_object = self.runtime.global_object
         hc = global_object.hidden_class
-        handler = site.lookup(hc)
-        if handler is not None:
-            result = handler.execute(global_object)
-            if result is not MISS:
-                counters.ic_hits += 1
-                counters.charge(CATEGORY_EXECUTE, cost.HANDLER_EXECUTE)
-                return result
-
         counters.record_miss(MISS_GLOBAL)
         counters.charge(CATEGORY_IC_MISS, cost.RUNTIME_ENTRY)
         self._charge_lookup(global_object, 0)
@@ -477,22 +461,14 @@ class ICRuntime:
         return global_object.slots[offset]
 
     def global_store(self, site: ICSite, name: str, value: object) -> None:
-        """Store to a global variable (creates it if missing, like
-        non-strict JS)."""
+        """Store to a global variable after the VM's inline probe found no
+        slot hit (creates it if missing, like non-strict JS)."""
         counters = self.counters
         counters.ic_accesses += 1
         counters.charge(CATEGORY_EXECUTE, cost.IC_PROBE)
 
         global_object = self.runtime.global_object
         hc = global_object.hidden_class
-        handler = site.lookup(hc)
-        if handler is not None:
-            result = handler.execute(global_object, value)
-            if result is not MISS:
-                counters.ic_hits += 1
-                counters.charge(CATEGORY_EXECUTE, cost.HANDLER_EXECUTE)
-                return
-
         counters.record_miss(MISS_GLOBAL)
         counters.charge(CATEGORY_IC_MISS, cost.RUNTIME_ENTRY)
         self._charge_lookup(global_object, 0)
@@ -536,18 +512,6 @@ class ICRuntime:
         )
         if created:
             self.counters.charge(CATEGORY_IC_MISS, cost.HIDDEN_CLASS_CREATE)
-
-
-def _as_element_index(key: object) -> int | None:
-    """Return the array index for integer-like keys, else None."""
-    if isinstance(key, float) and not isinstance(key, bool):
-        if key >= 0 and key == int(key) and key < 2**31:
-            return int(key)
-        return None
-    if isinstance(key, str) and key.isdigit():
-        if key == "0" or not key.startswith("0"):
-            return int(key)
-    return None
 
 
 def _to_number_safe(value: object) -> float:

@@ -12,17 +12,30 @@ The table is built by naming convention: opcode ``Op.FOO`` dispatches to
 construction (and in ``tests/test_dispatch_table.py``), never silently at
 runtime.
 
-``GET_PROP`` / ``SET_PROP`` (and ``OBJ_LIT_PROP``) own the one **IC hit
-path** for named properties: the access site's
-:class:`~repro.ic.icvector.ICSite` slot list (up to ``POLY_LIMIT``
-``(hidden class, handler)`` pairs) is probed inline with a linear scan +
-MRU move-to-front reorder, and a matching handler runs directly in the
-dispatch handler, with the hit accounting (per-tier attribution,
-preloaded hits) done there.  Every other case (a megamorphic site, whose
-slots are empty and whose hits go to the shared stub cache, a shape
-mismatch, a handler bailout) enters the runtime through
-``ICRuntime.named_load``/``named_store``, which never probe the slots
-again.
+Every IC site kind has one **hit path**, in its dispatch handler: the
+site's :class:`~repro.ic.icvector.ICSite` slot list (up to
+``POLY_LIMIT`` ``(hidden class, handler)`` pairs) is probed inline with
+a linear scan + MRU move-to-front reorder, and a hit is served and
+counted there without a call into the runtime.
+
+* ``GET_PROP`` / ``SET_PROP`` (and ``OBJ_LIT_PROP``) probe on the
+  receiver's class and run the matching handler, with per-tier and
+  preloaded-hit accounting.
+* ``LOAD_GLOBAL`` / ``LOAD_GLOBAL_SOFT`` / ``STORE_GLOBAL`` probe on the
+  global object's class and read or write its slot directly.
+* ``GET_INDEX`` / ``SET_INDEX`` probe on the receiver's class when the
+  key is an element index
+  (:func:`~repro.runtime.values.element_index`) and run the element
+  handler.
+
+Global and keyed probes compare the front slot inline and leave the rest
+of the scan to :meth:`ICSite.lookup`.  Every other case (a megamorphic
+site, whose slots are empty, a shape mismatch, a handler that bails out
+or serves the other direction, a string key) enters the runtime through
+``ICRuntime.named_load``/``named_store``/``global_load``/
+``global_store``/``keyed_load``/``keyed_store``: the miss path, plus the
+shared stub cache of megamorphic named sites and string keys.  None of
+them probes the slots again.
 
 Guest instruction accounting: each dispatched bytecode charges
 ``cost_model.DISPATCH`` (batched per frame for speed); everything heavier
@@ -57,7 +70,7 @@ from repro.bytecode.code import CodeObject
 from repro.bytecode.opcodes import BinOp, Op, UnOp
 from repro.core.budget import BudgetMeter, CancelToken, ExecutionBudget
 from repro.core.errors import DepthBudgetExceeded
-from repro.ic.handlers import MISS
+from repro.ic.handlers import MISS, LoadElementHandler, StoreElementHandler
 from repro.ic.icvector import FeedbackState, ICState
 from repro.ic.miss import ICRuntime
 from repro.interpreter import cost_model as cost
@@ -68,6 +81,7 @@ from repro.runtime.objects import JSArray, JSFunction, JSObject
 from repro.runtime.values import (
     NULL,
     UNDEFINED,
+    element_index,
     loose_equals,
     number_divide,
     number_remainder,
@@ -487,18 +501,58 @@ class VM:
         frame.env.ancestor(a).slots[b] = frame.stack.pop()
         return pc
 
-    def _op_load_global(self, frame: Frame, a: int, b: int, pc: int) -> int:
-        frame.stack.append(self.ic.global_load(frame.sites[b], frame.names[a]))
+    def _op_load_global(
+        self, frame: Frame, a: int, b: int, pc: int, soft: bool = False
+    ) -> int:
+        """LOAD_GLOBAL: the inline probe for the global object's hidden
+        class, else the IC miss path.
+
+        The front slot is compared inline; on a mismatch
+        :meth:`ICSite.lookup` scans the rest and promotes a hit (MRU).  A
+        global site holds only ``LoadGlobalHandler``s, so a hit reads the
+        slot at the handler's offset.  Global hits keep no tier
+        attribution and are never preloaded (RIC links no global site).
+        """
+        site = frame.sites[b]
+        slots = site.slots
+        if slots:
+            global_object = self.runtime.global_object
+            hc = global_object.hidden_class
+            front = slots[0]
+            handler = front[1] if front[0] is hc else site.lookup(hc)
+            if handler is not None:
+                counters = self.counters
+                counters.ic_accesses += 1
+                counters.ic_hits += 1
+                counters.instructions[CATEGORY_EXECUTE] += _IC_HIT_COST
+                frame.stack.append(global_object.slots[handler.offset])
+                return pc
+        frame.stack.append(self.ic.global_load(site, frame.names[a], soft))
         return pc
 
     def _op_load_global_soft(self, frame: Frame, a: int, b: int, pc: int) -> int:
-        frame.stack.append(
-            self.ic.global_load(frame.sites[b], frame.names[a], soft=True)
-        )
-        return pc
+        """LOAD_GLOBAL for ``typeof name``: an absent global reads
+        undefined."""
+        return self._op_load_global(frame, a, b, pc, True)
 
     def _op_store_global(self, frame: Frame, a: int, b: int, pc: int) -> int:
-        self.ic.global_store(frame.sites[b], frame.names[a], frame.stack[-1])
+        """STORE_GLOBAL: the probe of ``_op_load_global``, else the IC miss
+        path, which also creates a missing global."""
+        site = frame.sites[b]
+        slots = site.slots
+        if slots:
+            global_object = self.runtime.global_object
+            hc = global_object.hidden_class
+            front = slots[0]
+            handler = front[1] if front[0] is hc else site.lookup(hc)
+            if handler is not None:
+                counters = self.counters
+                counters.ic_accesses += 1
+                counters.ic_hits += 1
+                counters.instructions[CATEGORY_EXECUTE] += _IC_HIT_COST
+                global_object.slots[handler.offset] = frame.stack[-1]
+                return pc
+        self.ic.global_store(site, frame.names[a], frame.stack[-1])
         return pc
 
     def _op_declare_global(self, frame: Frame, a: int, b: int, pc: int) -> int:
@@ -629,19 +683,74 @@ class VM:
         return pc
 
     def _op_get_index(self, frame: Frame, a: int, b: int, pc: int) -> int:
+        """GET_INDEX: for an element key on an object, the probe of
+        ``_op_load_global`` on the receiver's hidden class, else the IC
+        miss path.
+
+        A slot that matches the class but holds a handler of the other
+        direction goes to the miss path, which replaces it.  String keys
+        always enter the runtime, which owns the stub cache.
+        """
         stack = frame.stack
         key = stack.pop()
-        obj = stack.pop()
-        stack.append(self._keyed_get(obj, key, frame.sites[a]))
+        obj = stack[-1]
+        if isinstance(obj, JSObject):
+            site = frame.sites[a]
+            slots = site.slots
+            if slots:
+                index = element_index(key)
+                if index is not None:
+                    hc = obj.hidden_class
+                    front = slots[0]
+                    handler = front[1] if front[0] is hc else site.lookup(hc)
+                    if isinstance(handler, LoadElementHandler):
+                        counters = self.counters
+                        counters.ic_accesses += 1
+                        counters.ic_hits += 1
+                        counters.instructions[CATEGORY_EXECUTE] += _IC_HIT_COST
+                        stack[-1] = handler.execute(obj, index)
+                        return pc
+            stack[-1] = self.ic.keyed_load(site, obj, key)
+            return pc
+        if isinstance(obj, str):
+            index = element_index(key)
+            if index is not None and index < len(obj):
+                stack[-1] = obj[index]
+                return pc
+        stack[-1] = self.get_property(obj, to_property_key(key))
         return pc
 
     def _op_set_index(self, frame: Frame, a: int, b: int, pc: int) -> int:
+        """SET_INDEX: the probe of ``_op_get_index``, for stores."""
         stack = frame.stack
         value = stack.pop()
         key = stack.pop()
-        obj = stack.pop()
-        self._keyed_set(obj, key, value, frame.sites[a])
-        stack.append(value)
+        obj = stack[-1]
+        if isinstance(obj, JSObject):
+            site = frame.sites[a]
+            slots = site.slots
+            if slots:
+                index = element_index(key)
+                if index is not None:
+                    hc = obj.hidden_class
+                    front = slots[0]
+                    handler = front[1] if front[0] is hc else site.lookup(hc)
+                    if isinstance(handler, StoreElementHandler):
+                        counters = self.counters
+                        counters.ic_accesses += 1
+                        counters.ic_hits += 1
+                        counters.instructions[CATEGORY_EXECUTE] += _IC_HIT_COST
+                        handler.execute(obj, index, value)
+                        stack[-1] = value
+                        return pc
+            self.ic.keyed_store(site, obj, key, value)
+        elif obj is UNDEFINED or obj is NULL:
+            raise self.guest_type_error(
+                f"Cannot set properties of {to_string(obj)} "
+                f"(setting '{to_property_key(key)}')"
+            )
+        # Writes to other primitives are silently dropped (non-strict JS).
+        stack[-1] = value
         return pc
 
     def _op_delete_prop(self, frame: Frame, a: int, b: int, pc: int) -> int:
@@ -1107,29 +1216,6 @@ class VM:
         stack[-1], stack[-2] = stack[-2], stack[-1]
         return pc
 
-    # -- keyed access helpers ---------------------------------------------------
-
-    def _keyed_get(self, obj: object, key: object, site) -> object:
-        if isinstance(obj, JSObject):
-            return self.ic.keyed_load(site, obj, key)
-        if isinstance(obj, str):
-            if isinstance(key, float) and key == int(key) and 0 <= int(key) < len(obj):
-                return obj[int(key)]
-            return self.get_property(obj, to_property_key(key))
-        raise self.guest_type_error(
-            f"Cannot read properties of {to_string(obj)} (reading '{to_string(key)}')"
-        )
-
-    def _keyed_set(self, obj: object, key: object, value: object, site) -> None:
-        if isinstance(obj, JSObject):
-            self.ic.keyed_store(site, obj, key, value)
-            return
-        if obj is UNDEFINED or obj is NULL:
-            raise self.guest_type_error(
-                f"Cannot set properties of {to_string(obj)}"
-            )
-        # Primitive writes silently dropped.
-
     # -- operators ------------------------------------------------------------------
 
     def _binary(self, op: int, left: object, right: object) -> object:
@@ -1177,8 +1263,10 @@ class VM:
                 raise self.guest_type_error("'in' requires an object")
             self.counters.charge(CATEGORY_RUNTIME_OTHER, cost.PROPERTY_LOOKUP_BASE)
             name = to_property_key(left)
-            if isinstance(right, JSArray) and name.isdigit():
-                return 0 <= int(name) < len(right.array_elements)
+            if isinstance(right, JSArray):
+                index = element_index(name)
+                if index is not None:
+                    return index < len(right.array_elements)
             return self.runtime.lookup_property(right, name).kind != "absent"
         if op == BinOp.INSTANCEOF:
             if not isinstance(right, JSFunction):

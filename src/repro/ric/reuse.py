@@ -193,6 +193,11 @@ class ReuseSession:
             site = self.feedback.site_by_key(dependent.site_key)
             if site is None:
                 continue  # site's script not loaded in this run
+            if not site.info.reusable:
+                # A global or keyed site, which extraction never links:
+                # the VM's inline probes there trust that every slot holds
+                # a handler their own miss path installed.
+                continue
             self._preload(site, hc, dependent.handler_id)
 
     def _preload(self, site: ICSite, hc: HiddenClass, handler_id: int) -> None:

@@ -24,6 +24,7 @@ from repro.runtime.objects import JSArray, JSFunction, JSObject
 from repro.runtime.values import (
     NULL,
     UNDEFINED,
+    element_index,
     number_to_string,
     to_boolean,
     to_number,
@@ -283,7 +284,7 @@ def install_builtins(runtime: Runtime) -> None:
         key = to_property_key(args[0]) if args else "undefined"
         vm.charge_native()
         if isinstance(this, JSArray):
-            index = _array_index(key)
+            index = element_index(key)
             if index is not None:
                 return 0 <= index < len(this.array_elements)
         if this.in_dictionary_mode:
@@ -292,7 +293,7 @@ def install_builtins(runtime: Runtime) -> None:
         if key in this.hidden_class.layout:
             return True
         if this.elements is not None:
-            index = _array_index(key)
+            index = element_index(key)
             if index is not None:
                 return index in this.elements
         return False
@@ -977,12 +978,6 @@ def _set_native_member(
     """Attach a static member to a builtin function object via the normal
     transition machinery (stable ``native:`` site keys)."""
     runtime.define_own_property(obj, name, value, f"native:member:{name}")
-
-
-def _array_index(key: str) -> int | None:
-    if key.isdigit() and (key == "0" or not key.startswith("0")):
-        return int(key)
-    return None
 
 
 def _stringify(vm: "VM", value: object, depth: int = 0) -> str | None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.runtime.heap import Heap
 from repro.runtime.hidden_class import HiddenClass, HiddenClassRegistry
 from repro.runtime.objects import JSArray, JSFunction, JSObject
-from repro.runtime.values import UNDEFINED
+from repro.runtime.values import UNDEFINED, element_index
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.bytecode.code import CodeObject
@@ -241,7 +241,7 @@ class Runtime:
 
     def delete_property(self, obj: JSObject, name: str) -> bool:
         """JS delete semantics; demotes fast objects to dictionary mode."""
-        index = _element_index(name)
+        index = element_index(name)
         if index is not None:
             if isinstance(obj, JSArray) and 0 <= index < len(obj.array_elements):
                 obj.array_elements[index] = UNDEFINED
@@ -279,9 +279,3 @@ class Runtime:
         )
         fn.constructor_hc = hc
         return hc
-
-
-def _element_index(name: str) -> int | None:
-    if name.isdigit() and (name == "0" or not name.startswith("0")):
-        return int(name)
-    return None

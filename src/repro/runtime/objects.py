@@ -12,7 +12,7 @@ from __future__ import annotations
 import typing
 
 from repro.runtime.hidden_class import HiddenClass
-from repro.runtime.values import UNDEFINED, number_to_string
+from repro.runtime.values import UNDEFINED
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.bytecode.code import CodeObject
@@ -243,14 +243,3 @@ class JSArray(JSObject):
 
     def __repr__(self) -> str:
         return f"<JSArray len={len(self.array_elements)} @{self.address:#x}>"
-
-
-def number_key_to_index(key: str) -> int | None:
-    """If ``key`` is a canonical array index ("0", "42"), return it."""
-    if key.isdigit() and (key == "0" or not key.startswith("0")):
-        return int(key)
-    return None
-
-
-def canonical_index_key(index: int) -> str:
-    return number_to_string(float(index))

@@ -188,6 +188,36 @@ def to_property_key(value: object) -> str:
     return to_string(value)
 
 
+#: Element indices lie in [0, ELEMENT_INDEX_LIMIT); any other key names an
+#: ordinary property.
+ELEMENT_INDEX_LIMIT = 2**31
+
+
+def element_index(key: object) -> int | None:
+    """The element index a keyed-access subscript names, else None.
+
+    A number names one when it is integral and in range, so NaN and the
+    infinities never do and -0 names 0.  A string names one when it is
+    the canonical decimal form of such a number: ASCII digits and no
+    leading zero ("²" and "01" are ordinary property names).
+    """
+    if isinstance(key, float):
+        if 0 <= key < ELEMENT_INDEX_LIMIT and key.is_integer():
+            return int(key)
+        return None
+    if (
+        isinstance(key, str)
+        and key.isascii()
+        and key.isdigit()
+        and len(key) <= 10
+        and (key[0] != "0" or key == "0")
+    ):
+        index = int(key)
+        if index < ELEMENT_INDEX_LIMIT:
+            return index
+    return None
+
+
 def type_of(value: object) -> str:
     """JS typeof."""
     if value is UNDEFINED:

@@ -52,9 +52,10 @@ class Counters:
     #: Per-tier hit attribution for *named* property sites (GET_PROP /
     #: SET_PROP).  ``mono``/``poly`` split ICVector slot hits by the
     #: site's state at hit time; ``mega`` counts megamorphic stub-cache
-    #: hits.  Keyed-element and global sites keep their own untiered
-    #: accounting (``ICRuntime`` probes them, not the VM's inline named
-    #: probe), so these three do *not* sum to ``ic_hits``.
+    #: hits.  Keyed-element and global hits stay untiered, although the
+    #: VM now probes them inline too: nothing reads a tier split for them,
+    #: and one would change every counter golden and baseline.  So these
+    #: three do *not* sum to ``ic_hits``.
     ic_hits_mono: int = 0
     ic_hits_poly: int = 0
     ic_hits_mega: int = 0

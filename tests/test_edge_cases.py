@@ -119,6 +119,92 @@ class TestDivisionAndRemainder:
         assert Engine(seed=1).run(source).console_output == [expected]
 
 
+#: Keyed access with keys at the edge of "element index", and what node
+#: prints for each.  A key is an element index only if it is an integral
+#: number in [0, 2**31) or the canonical ASCII decimal string of one.
+_KEYED_KEY_CASES = {
+    "non_finite_keys": (
+        """
+        var s = "abc";
+        console.log(s[0 / 0], s[1 / 0], s[-1 / 0]);
+        var o = {};
+        o[1 / 0] = 1;
+        o[0 / 0] = 2;
+        o[-1 / 0] = 3;
+        console.log(o["Infinity"], o[1 / 0], o["NaN"], o[0 / 0], o["-Infinity"], o[-1 / 0]);
+        console.log([1, 2][1 / 0], [1, 2][0 / 0], [1, 2][-1 / 0]);
+        var caught = "no";
+        try { o[1 / 0] = 4; } catch (e) { caught = "yes"; }
+        console.log(caught, o["Infinity"]);
+        """,
+        [
+            "undefined undefined undefined",
+            "1 1 2 2 3 3",
+            "undefined undefined undefined",
+            "no 4",
+        ],
+    ),
+    "non_ascii_digit_keys": (
+        """
+        var o = {};
+        o["²"] = 1;
+        console.log(o["²"], delete o["²"], o["²"]);
+        var a = [];
+        a["١"] = 7;
+        console.log(a.length, a[1], a["١"]);
+        console.log(a.hasOwnProperty("١"), a.hasOwnProperty("²"), "²" in a, "١" in a, "01" in [5, 6]);
+        var lit = {"١": 7, "²": 8, "05": 9, "5": 10};
+        console.log(lit[1], lit["١"], lit["²"], lit[5], lit["05"]);
+        """,
+        [
+            "1 true undefined",
+            "0 undefined 7",
+            "true false false true false",
+            "undefined 7 8 10 9",
+        ],
+    ),
+    "string_keys_past_the_index_bound": (
+        """
+        var b = {};
+        b["2147483648"] = 1;
+        b[2147483647] = 2;
+        console.log(b[2147483648], b["2147483648"], b["2147483647"], b[2147483647]);
+        """,
+        ["1 1 2 2"],
+    ),
+    "string_receiver_numeric_string_keys": (
+        """
+        var s = "abc";
+        console.log(s["1"], s["01"], s["3"], s["length"]);
+        console.log(s[1], s[-0], s["-0"], s[1.5], s["0"], s[" 1"]);
+        """,
+        ["b undefined undefined 3", "b a undefined undefined a undefined"],
+    ),
+    "primitive_receivers": (
+        """
+        var n = 5;
+        console.log(n[0], n["toFixed"] === n.toFixed, true["x"], n["1"]);
+        var caught = [];
+        try { var u; u[0]; } catch (e) { caught.push(e.message); }
+        try { var z = null; z["k"] = 1; } catch (e) { caught.push(e.message); }
+        console.log(caught.join(" | "));
+        """,
+        [
+            "undefined true undefined undefined",
+            "Cannot read properties of undefined (reading '0') | "
+            "Cannot set properties of null (setting 'k')",
+        ],
+    ),
+}
+
+
+class TestKeyedKeys:
+    @pytest.mark.parametrize("case", sorted(_KEYED_KEY_CASES))
+    def test_prints_like_node(self, case):
+        source, expected = _KEYED_KEY_CASES[case]
+        assert console_of(source) == expected
+
+
 class TestGuestSemanticsCorners:
     def test_empty_function_call_expression_statement(self):
         assert run_jsl("(function () {})();").console == []
