@@ -4,7 +4,7 @@ A :class:`RunSession` is one execution of one workload.  It owns
 everything that must be private to a run — the
 :class:`~repro.runtime.context.Runtime` (heap, hidden classes, global
 object), the :class:`~repro.ic.icvector.FeedbackState` (IC vectors),
-the :class:`~repro.stats.counters.Counters`, the reuse session(s), and
+the :class:`~repro.stats.counters.Counters`, the reuse session, and
 the budget — and consumes shared, immutable
 :class:`~repro.core.artifacts.ScriptArtifact` instances for everything
 run-invariant.  Because a session touches no engine-global mutable
@@ -38,7 +38,7 @@ from repro.interpreter.vm import VM
 from repro.ric.errors import CorruptRecord, RecordFormatError
 from repro.ric.extraction import extract_icrecord, extract_per_script_records
 from repro.ric.icrecord import ICRecord
-from repro.ric.reuse import MultiReuseSession, ReuseSession
+from repro.ric.reuse import ReuseSession
 from repro.ric.validate import validate_record
 from repro.runtime.builtins import install_builtins
 from repro.runtime.context import Runtime
@@ -135,7 +135,7 @@ class RunSession:
         self.runtime = Runtime(seed=seed)
         self.feedback = FeedbackState()
 
-        self._reuse_session: "ReuseSession | MultiReuseSession | None" = None
+        self._reuse_session: ReuseSession | None = None
 
         def on_hidden_class_created(hc) -> None:
             counters_.hidden_classes_created += 1
@@ -210,35 +210,22 @@ class RunSession:
             count_specialized_sites(code) for code in self.exec_codes
         )
 
-        # Reuse sessions consume the admitted records, now that this
+        # The reuse session consumes the admitted records, one whole-run
+        # record or per-file ones (see repro.ric.store), now that this
         # run's script keys are known: a record's file-bound state only
         # applies to files whose content matches what it was extracted
         # from.
         if admitted:
-            trusted = set(self.script_keys)
-            sessions = [
-                ReuseSession(
-                    record,
-                    self.feedback,
-                    counters_,
-                    config,
-                    tracer=tracer,
-                    trusted_script_keys=trusted,
-                )
-                for record in admitted
-            ]
-            if len(sessions) == 1:
-                self._reuse_session = sessions[0]
-            else:
-                # Per-script records (see repro.ric.store): one session
-                # per record, each in its own HCID namespace.
-                self._reuse_session = MultiReuseSession(sessions)
+            self._reuse_session = ReuseSession(
+                admitted,
+                self.feedback,
+                counters_,
+                config,
+                tracer=tracer,
+                trusted_script_keys=set(self.script_keys),
+            )
 
         self.budget = budget if budget is not None else config.execution_budget()
-
-    @property
-    def reuse_session(self) -> "ReuseSession | MultiReuseSession | None":
-        return self._reuse_session
 
     # -- execution ----------------------------------------------------------
 

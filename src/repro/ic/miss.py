@@ -42,7 +42,12 @@ from repro.ic.icvector import ICSite, ICState
 from repro.lang.errors import JSLReferenceError
 from repro.runtime.context import Runtime
 from repro.runtime.objects import JSArray, JSFunction, JSObject
-from repro.runtime.values import UNDEFINED, element_index, to_property_key
+from repro.runtime.values import (
+    UNDEFINED,
+    element_index,
+    to_array_length,
+    to_property_key,
+)
 from repro.stats.counters import (
     CATEGORY_EXECUTE,
     CATEGORY_IC_MISS,
@@ -267,6 +272,11 @@ class ICRuntime:
         counters.record_miss(self._classify_miss(site, hc))
         counters.charge(CATEGORY_IC_MISS, cost.RUNTIME_ENTRY)
 
+        if isinstance(obj, JSArray) and name == "length":
+            # The virtual length: no handler, so the VM's inline probe
+            # never serves this store.
+            obj.set_length(to_array_length(value))
+            return
         if hc.is_dictionary:
             assert obj.dict_properties is not None
             obj.dict_properties[name] = value
@@ -395,7 +405,7 @@ class ICRuntime:
         counters.record_miss(self._classify_miss(site, hc))
         counters.charge(CATEGORY_IC_MISS, cost.RUNTIME_ENTRY)
         if isinstance(obj, JSArray) and name == "length":
-            obj.set_length(int(_to_number_safe(value)))
+            obj.set_length(to_array_length(value))
             return
         if hc.is_dictionary:
             assert obj.dict_properties is not None
@@ -513,11 +523,3 @@ class ICRuntime:
         if created:
             self.counters.charge(CATEGORY_IC_MISS, cost.HIDDEN_CLASS_CREATE)
 
-
-def _to_number_safe(value: object) -> float:
-    from repro.runtime.values import to_number
-
-    number = to_number(value)
-    if number != number:  # NaN
-        return 0.0
-    return number

@@ -1263,10 +1263,13 @@ class VM:
                 raise self.guest_type_error("'in' requires an object")
             self.counters.charge(CATEGORY_RUNTIME_OTHER, cost.PROPERTY_LOOKUP_BASE)
             name = to_property_key(left)
-            if isinstance(right, JSArray):
-                index = element_index(name)
-                if index is not None:
-                    return index < len(right.array_elements)
+            index = element_index(name)
+            if index is not None:
+                holder: JSObject | None = right
+                while holder is not None:
+                    if holder.has_own_element(index):
+                        return True
+                    holder = holder.hidden_class.prototype
             return self.runtime.lookup_property(right, name).kind != "absent"
         if op == BinOp.INSTANCEOF:
             if not isinstance(right, JSFunction):

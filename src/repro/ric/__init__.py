@@ -1,8 +1,9 @@
 """Reusable Inline Caching — the paper's contribution.
 
-Extraction (post-Initial-run analysis) builds an :class:`ICRecord`; a
-:class:`ReuseSession` consumes it during a later execution, validating
-hidden classes and preloading Dependent sites' ICVector slots.
+Extraction (post-Initial-run analysis) builds an :class:`ICRecord`, for
+the whole run or per script file; one :class:`ReuseSession` consumes a
+later execution's records, validating hidden classes and preloading
+Dependent sites' ICVector slots.
 
 Persistence is hardened (checksummed envelope, atomic writes, structural
 validation, quarantine): see :mod:`repro.ric.serialize`,
@@ -13,7 +14,7 @@ failures raise the single typed :class:`RecordFormatError`.
 from repro.ric.errors import CorruptRecord, RecordFormatError
 from repro.ric.extraction import extract_icrecord
 from repro.ric.icrecord import DependentEntry, HCVTRow, ICRecord, ToastPair
-from repro.ric.reuse import MultiReuseSession, ReuseSession
+from repro.ric.reuse import ReuseSession
 from repro.ric.store import (
     RecordStore,
     RecordStoreProtocol,
@@ -36,7 +37,6 @@ from repro.ric.validate import check_record, validate_record
 __all__ = [
     "CorruptRecord",
     "DependentEntry",
-    "MultiReuseSession",
     "RecordFormatError",
     "RecordStore",
     "RecordStoreProtocol",

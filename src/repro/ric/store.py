@@ -12,11 +12,10 @@ that a first-class capability:
   record-local HCID space.
 * :class:`RecordStore` holds per-script records keyed by (filename,
   source hash), with directory persistence — the browser-cache shape.
-* At reuse time, the engine runs one
-  :class:`~repro.ric.reuse.ReuseSession` per record simultaneously
-  (see ``Engine.run`` accepting a sequence of records): each session
-  validates in its own HCID namespace, so records extracted by different
-  applications compose on one page.
+* At reuse time, one :class:`~repro.ric.reuse.ReuseSession` consumes
+  every record of the run (see ``Engine.run`` accepting a sequence of
+  records): each record validates in its own HCID namespace, so records
+  extracted by different applications compose on one page.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from repro.runtime.values import (
     UNDEFINED,
     element_index,
     number_to_string,
+    to_array_length,
     to_boolean,
     to_number,
     to_property_key,
@@ -283,20 +284,13 @@ def install_builtins(runtime: Runtime) -> None:
             return False
         key = to_property_key(args[0]) if args else "undefined"
         vm.charge_native()
-        if isinstance(this, JSArray):
-            index = element_index(key)
-            if index is not None:
-                return 0 <= index < len(this.array_elements)
+        index = element_index(key)
+        if index is not None and this.has_own_element(index):
+            return True
         if this.in_dictionary_mode:
             assert this.dict_properties is not None
             return key in this.dict_properties
-        if key in this.hidden_class.layout:
-            return True
-        if this.elements is not None:
-            index = element_index(key)
-            if index is not None:
-                return index in this.elements
-        return False
+        return key in this.hidden_class.layout
 
     def object_to_string(vm: "VM", this: object, args: list) -> object:
         return to_string(this)
@@ -355,7 +349,7 @@ def install_builtins(runtime: Runtime) -> None:
     def array_ctor(vm: "VM", this: object, args: list) -> object:
         if len(args) == 1 and isinstance(args[0], float):
             array = vm.runtime.new_array()
-            array.set_length(int(args[0]))
+            array.set_length(to_array_length(args[0]))
             return array
         return vm.runtime.new_array(list(args))
 

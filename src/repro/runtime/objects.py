@@ -117,6 +117,11 @@ class JSObject:
             return True, self.elements[index]
         return False, UNDEFINED
 
+    def has_own_element(self, index: int) -> bool:
+        """Whether ``index`` is an own element: an array's dense part
+        first, then the sparse ``elements``."""
+        return self.get_element(index)[0]
+
     def set_element(self, index: int, value: object) -> None:
         if self.elements is None:
             self.elements = {}

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+from repro.lang.errors import JSLRangeError
+
 
 class _Undefined:
     """The single ``undefined`` value."""
@@ -179,6 +181,17 @@ def to_uint32(value: object) -> int:
     if math.isnan(number) or math.isinf(number):
         return 0
     return int(number) & 0xFFFFFFFF
+
+
+def to_array_length(value: object) -> int:
+    """The length an array is set to: ToNumber, then ToUint32, and a
+    guest RangeError when the two differ (negative, fractional,
+    non-finite or too large)."""
+    number = to_number(value)
+    length = to_uint32(number)
+    if length != number:
+        raise JSLRangeError("Invalid array length")
+    return length
 
 
 def to_property_key(value: object) -> str:

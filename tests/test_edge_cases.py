@@ -205,6 +205,113 @@ class TestKeyedKeys:
         assert console_of(source) == expected
 
 
+#: Array ``length`` writes, each with the lines node prints.  A named
+#: store must set the virtual length (not define a shadowed own
+#: property), and every path converts the value the same way: a value
+#: that is not a uint32 is a catchable RangeError and changes nothing.
+_ARRAY_LENGTH_CASES = {
+    "named_store_truncates": (
+        """
+        var a = [1, 2, 3];
+        a.length = 0;
+        a.push(9);
+        console.log(a.length, a[0], a.join("-"));
+        """,
+        ["1 9 9"],
+    ),
+    "named_store_grows": (
+        "var a = [1, 2, 3]; a.length = 5; console.log(a.length);",
+        ["5"],
+    ),
+    "named_store_site_installs_no_handler": (
+        """
+        var out = [];
+        for (var i = 0; i < 4; i++) { var a = [1, 2, 3, 4]; a.length = i; out.push(a.length); }
+        console.log(out.join(","));
+        """,
+        ["0,1,2,3"],
+    ),
+    "invalid_lengths_throw": (
+        """
+        function attempt(set) {
+            var a = [1, 2, 3];
+            try { set(a); console.log("no error", a.length); }
+            catch (e) { console.log(e.name, e.message, a.length); }
+        }
+        attempt(function (a) { a.length = -1; });
+        attempt(function (a) { a["length"] = -1; });
+        attempt(function (a) { a["length"] = 1.5; });
+        attempt(function (a) { a["length"] = 1 / 0; });
+        attempt(function (a) { a["length"] = "2"; });
+        """,
+        [
+            "RangeError Invalid array length 3",
+            "RangeError Invalid array length 3",
+            "RangeError Invalid array length 3",
+            "RangeError Invalid array length 3",
+            "no error 2",
+        ],
+    ),
+    "array_constructor_lengths": (
+        """
+        var made = [];
+        try { new Array(-1); } catch (e) { made.push(e.name); }
+        try { Array(2.5); } catch (e) { made.push(e.name); }
+        try { new Array(1 / 0); } catch (e) { made.push(e.name); }
+        console.log(made.join(" "));
+        console.log(new Array(3).length, Array(0).length, new Array(2, 3).length);
+        """,
+        ["RangeError RangeError RangeError", "3 0 2"],
+    ),
+}
+
+
+class TestArrayLength:
+    @pytest.mark.parametrize("case", sorted(_ARRAY_LENGTH_CASES))
+    def test_prints_like_node(self, case):
+        source, expected = _ARRAY_LENGTH_CASES[case]
+        assert console_of(source) == expected
+
+
+#: ``in`` and ``hasOwnProperty`` on element keys, with what node prints.
+#: Both ask one own-element test: an array's dense part, then the sparse
+#: elements; ``in`` asks it at each object of the prototype chain.
+_OWN_ELEMENT_CASES = {
+    "object_literal_elements": (
+        'var o = {1: "a"}; console.log(1 in o, "1" in o, 2 in o, o.hasOwnProperty(1));',
+        ["true true false true"],
+    ),
+    "stored_element": (
+        "var o = {}; o[7] = 1; console.log(7 in o, o.hasOwnProperty(\"7\"));",
+        ["true true"],
+    ),
+    "inherited_element": (
+        """
+        function F() {}
+        F.prototype[3] = 1;
+        var f = new F();
+        console.log(3 in f, f.hasOwnProperty(3), 4 in f);
+        """,
+        ["true false false"],
+    ),
+    "sparse_array_element": (
+        """
+        var b = [1, 2];
+        b[40] = 5;
+        console.log(40 in b, 39 in b, b.hasOwnProperty(40), 1 in b, b.hasOwnProperty(1));
+        """,
+        ["true false true true true"],
+    ),
+}
+
+
+class TestOwnElements:
+    @pytest.mark.parametrize("case", sorted(_OWN_ELEMENT_CASES))
+    def test_prints_like_node(self, case):
+        source, expected = _OWN_ELEMENT_CASES[case]
+        assert console_of(source) == expected
+
+
 class TestGuestSemanticsCorners:
     def test_empty_function_call_expression_statement(self):
         assert run_jsl("(function () {})();").console == []

@@ -69,7 +69,7 @@ def make_record_and_session(dependents=None, cd_sites=None, config=None):
     }
     code, feedback = make_feedback("var v = o.x; o.x = 1;")
     counters = Counters()
-    session = ReuseSession(record, feedback, counters, config or RICConfig())
+    session = ReuseSession([record], feedback, counters, config or RICConfig())
     return record, feedback, counters, session, code
 
 
@@ -83,8 +83,8 @@ class TestReuseSessionValidation:
         reg = registry()
         root = reg.create_root("builtin", "builtin:EmptyObject", None)
         session.on_hidden_class_created(root)
-        assert 0 in session.validated
-        assert session.address_by_hcid[0] == root.address
+        assert 0 in session.address_by_hcid[0]
+        assert session.address_by_hcid[0][0] == root.address
         assert counters.ric_validations == 1
 
     def test_unknown_key_is_ignored(self):
@@ -92,7 +92,7 @@ class TestReuseSessionValidation:
         reg = registry()
         stranger = reg.create_root("builtin", "builtin:NotInRecord", None)
         session.on_hidden_class_created(stranger)
-        assert not session.validated
+        assert not session.address_by_hcid[0]
         assert counters.ric_divergences == 0  # unknown != divergent
 
     def test_transition_validates_when_incoming_matches(self):
@@ -103,7 +103,7 @@ class TestReuseSessionValidation:
         session.on_hidden_class_created(root)
         outgoing, _ = reg.transition(root, "x", "u.jsl:1:16:named_store")
         session.on_hidden_class_created(outgoing)
-        assert 1 in session.validated
+        assert 1 in session.address_by_hcid[0]
         del load_key
 
     def test_transition_property_mismatch_diverges(self):
@@ -113,7 +113,7 @@ class TestReuseSessionValidation:
         session.on_hidden_class_created(root)
         wrong_prop, _ = reg.transition(root, "z", "u.jsl:1:16:named_store")
         session.on_hidden_class_created(wrong_prop)
-        assert 1 not in session.validated
+        assert 1 not in session.address_by_hcid[0]
         assert counters.ric_divergences == 1
 
     def test_incoming_address_mismatch_diverges(self):
@@ -124,8 +124,29 @@ class TestReuseSessionValidation:
         session.on_hidden_class_created(root)  # validates at root's address
         outgoing, _ = reg.transition(imposter, "x", "u.jsl:1:16:named_store")
         session.on_hidden_class_created(outgoing)
-        assert 1 not in session.validated
+        assert 1 not in session.address_by_hcid[0]
         assert counters.ric_divergences == 1
+
+    def test_each_record_keeps_its_hcid_namespace(self):
+        """Two records name the same class by different HCIDs; the class
+        validates in each, and every record is charged a lookup."""
+        first = ICRecord()
+        first.hcvt = [HCVTRow(hcid=0)]
+        first.toast = {"builtin:EmptyObject": [ToastPair(None, None, 0)]}
+        second = ICRecord()
+        second.hcvt = [HCVTRow(hcid=0), HCVTRow(hcid=1)]
+        second.toast = {
+            "builtin:Other": [ToastPair(None, None, 0)],
+            "builtin:EmptyObject": [ToastPair(None, None, 1)],
+        }
+        _, feedback = make_feedback()
+        counters = Counters()
+        session = ReuseSession([first, second], feedback, counters, RICConfig())
+        root = registry().create_root("builtin", "builtin:EmptyObject", None)
+        session.on_hidden_class_created(root)
+        assert session.address_by_hcid == [{0: root.address}, {1: root.address}]
+        assert counters.ric_validations == 2
+        assert counters.ric_toast_lookups == 2
 
     def test_unvalidated_incoming_diverges(self):
         _, _, counters, session, _ = make_record_and_session()
@@ -134,7 +155,7 @@ class TestReuseSessionValidation:
         # Root never offered to the session -> HCID 0 not validated.
         outgoing, _ = reg.transition(root, "x", "u.jsl:1:16:named_store")
         session.on_hidden_class_created(outgoing)
-        assert 1 not in session.validated
+        assert 1 not in session.address_by_hcid[0]
 
 
 class TestReuseSessionPreloading:
@@ -305,7 +326,7 @@ class TestICStateMachine:
         }
         _, feedback = make_feedback()
         counters = Counters()
-        session = ReuseSession(record, feedback, counters, RICConfig())
+        session = ReuseSession([record], feedback, counters, RICConfig())
         return record, feedback, counters, session
 
     def test_preloaded_slots_follow_the_persisted_order(self):

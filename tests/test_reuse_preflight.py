@@ -2,19 +2,27 @@
 
 Between fetching its records and executing its first instruction, a
 reuse run writes fetched records back into the local fallback store,
-decodes, admits, quickens and wires one reuse session per record.  Two
-shortcuts live there, and this module pins that neither is visible:
+decodes, admits, quickens and wires one reuse session over all its
+records.  Two shortcuts live there, and this module pins that neither
+is visible:
 
 * a memory-only ``RecordStore`` keeps a ``put`` record without encoding
   it, and sizes it only when ``status()`` asks;
-* ``MultiReuseSession`` offers a new hidden class only to the sessions
-  whose record has a TOAST entry for it, and counts the other sessions'
-  lookups in one step.
+* the ``ReuseSession`` matches a new hidden class only against the
+  records whose TOAST has an entry for its creation key, and charges
+  every record's lookup in one step.
 
 The counter golden pins every counter of seven-library page loads in
-three orders, plus a naive-match (``validate=False``) load, as the
-unindexed fan-out produced them.  Regenerate it only for an intentional
-counter change, and review the diff::
+three orders, of a naive-match (``validate=False``) load and of the
+linking and handler-reuse ablations, and of the record lists a page can
+pass as ``icrecord=``: the per-file records twice, the whole-run record
+plus the per-file records, and the per-file records over a page with one
+library edited (so its record is untrusted).  Each entry also holds the
+SHA-256 of the load's ``ric_validated``, ``ric_preloaded``,
+``ric_divergence`` and ``ic_miss`` events, which pins the cross-record
+event order and each miss's Table 4 reason.  The golden was taken when
+each record still had a session of its own.  Regenerate it only for an
+intentional counter change, and review the diff::
 
     RIC_REGOLD=1 PYTHONPATH=src python -m pytest tests/test_reuse_preflight.py
 """
@@ -23,10 +31,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import json
 import os
 import random
 import socket
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,6 +49,13 @@ from repro.ric.icrecord import SiteSlot
 from repro.ric.reuse import ReuseSession
 from repro.ric.serialize import record_from_envelope, record_to_envelope
 from repro.ric.store import RecordStore
+from repro.stats.tracing import (
+    IC_MISS,
+    RIC_DIVERGENCE,
+    RIC_PRELOADED,
+    RIC_VALIDATED,
+    Tracer,
+)
 from repro.workloads import WORKLOADS
 from tests.helpers import all_counters
 
@@ -61,6 +78,14 @@ ORDER_SEEDS = (1, 2, 3)
 CONFIG = RICConfig(specialize=True)
 
 
+#: The events that pin a reuse load's cross-record order and each
+#: miss's Table 4 reason.
+TRACED_KINDS = frozenset({RIC_VALIDATED, RIC_PRELOADED, RIC_DIVERGENCE, IC_MISS})
+#: The library whose source the "edited-source" load changes after its
+#: record was taken, so that record is untrusted.
+EDITED = "jquerylike"
+
+
 def page(order) -> list[tuple[str, str]]:
     return [(f"{name}.jsl", WORKLOADS[name].source) for name in order]
 
@@ -69,50 +94,101 @@ def page_order(seed: int) -> list[str]:
     return random.Random(seed).sample(LIBRARIES, len(LIBRARIES))
 
 
+def edited_page(order) -> list[tuple[str, str]]:
+    return [
+        (filename, source + "\n// edited after its record was taken\n")
+        if filename == f"{EDITED}.jsl"
+        else (filename, source)
+        for filename, source in page(order)
+    ]
+
+
+def trace_sha256(tracer: Tracer) -> str:
+    digest = hashlib.sha256()
+    for event in tracer.events:
+        fields = [event.kind, event.site_key, event.hc_index, event.detail]
+        digest.update(json.dumps(fields).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
-def record_dir(tmp_path_factory) -> Path:
+def first_visit(tmp_path_factory) -> "tuple[Path, object]":
     """Per-file records of one first visit, published to a directory
-    store, so every reuse load decodes them from disk."""
+    store, so every reuse load decodes them from disk; and the visit's
+    whole-run record."""
     directory = tmp_path_factory.mktemp("records")
     engine = Engine(config=CONFIG, seed=7, record_store=RecordStore(directory=directory))
     engine.run(page(LIBRARIES), use_store=True)
     assert engine.publish_records() == len(LIBRARIES)
-    return directory
+    return directory, engine.extract_icrecord()
 
 
 @pytest.fixture(scope="module")
-def loads(record_dir):
-    """name -> (profile, ReuseSession.on_hidden_class_created calls)."""
-    calls = [0]
-    original = ReuseSession.on_hidden_class_created
+def loads(first_visit):
+    """name -> (profile, calls per ``ReuseSession`` method, SHA-256 of
+    the load's RIC and miss events).
 
-    def counting(self, hc):
-        calls[0] += 1
-        return original(self, hc)
+    The counted methods are the hook and the two per-record matches,
+    ``_match`` (a TOAST entry) and ``_naive_match``.  Loads without
+    explicit records fetch the per-file records from the store, as a
+    returning visitor does; the others pass a record list as
+    ``icrecord=``."""
+    directory, whole_run = first_visit
+    calls = Counter()
+    counted = ("on_hidden_class_created", "_match", "_naive_match")
+    originals = {method: getattr(ReuseSession, method) for method in counted}
 
-    runs = [(f"order-{seed}", page_order(seed), seed, CONFIG) for seed in ORDER_SEEDS]
-    runs.append(
-        ("naive-match", page_order(ORDER_SEEDS[0]), ORDER_SEEDS[0],
-         dataclasses.replace(CONFIG, validate=False))
-    )
+    def counting(method):
+        original = originals[method]
+
+        def wrapper(self, *args):
+            calls[method] += 1
+            return original(self, *args)
+
+        return wrapper
+
+    first = ORDER_SEEDS[0]
+    order = page_order(first)
+    per_file = RecordStore(directory=directory).records_for(page(order))
+    assert len(per_file) == len(LIBRARIES)
+    runs = [(f"order-{seed}", page(page_order(seed)), seed, CONFIG, None) for seed in ORDER_SEEDS]
+    runs += [
+        ("naive-match", page(order), first, dataclasses.replace(CONFIG, validate=False), None),
+        ("no-linking", page(order), first, dataclasses.replace(CONFIG, enable_linking=False), None),
+        ("no-handler-reuse", page(order), first,
+         dataclasses.replace(CONFIG, enable_handler_reuse=False), None),
+        ("records-twice", page(order), first, CONFIG, per_file + per_file),
+        ("whole-run-plus-per-file", page(order), first, CONFIG, [whole_run, *per_file]),
+        ("edited-source", edited_page(order), first, CONFIG, per_file),
+    ]
     out = {}
-    ReuseSession.on_hidden_class_created = counting
+    for method in counted:
+        setattr(ReuseSession, method, counting(method))
     try:
-        for name, order, seed, config in runs:
-            calls[0] = 0
-            store = RecordStore(directory=record_dir)
-            assert store.load_errors == []
-            engine = Engine(config=config, seed=seed, record_store=store)
-            profile = engine.run(page(order), use_store=True)
-            out[name] = (profile, calls[0])
+        for name, scripts, seed, config, records in runs:
+            calls.clear()
+            tracer = Tracer(kinds=set(TRACED_KINDS))
+            if records is None:
+                store = RecordStore(directory=directory)
+                assert store.load_errors == []
+                engine = Engine(config=config, seed=seed, record_store=store)
+                profile = engine.run(scripts, use_store=True, tracer=tracer)
+            else:
+                engine = Engine(config=config, seed=seed)
+                profile = engine.run(scripts, icrecord=records, tracer=tracer)
+            out[name] = (profile, dict(calls), trace_sha256(tracer))
     finally:
-        ReuseSession.on_hidden_class_created = original
+        for method, original in originals.items():
+            setattr(ReuseSession, method, original)
     return out
 
 
 class TestFanOutCounters:
     def test_counters_match_golden(self, loads):
-        actual = {name: all_counters(profile.counters) for name, (profile, _) in loads.items()}
+        actual = {
+            name: {**all_counters(profile.counters), "trace_sha256": digest}
+            for name, (profile, _, digest) in loads.items()
+        }
         if REGOLD:
             GOLDEN.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
             return
@@ -129,21 +205,44 @@ class TestFanOutCounters:
 
     @pytest.mark.parametrize("name", [f"order-{seed}" for seed in ORDER_SEEDS])
     def test_every_session_is_charged_a_lookup(self, loads, name):
-        profile, _ = loads[name]
+        profile, _, _ = loads[name]
         c = profile.counters
         assert c.ric_preloads > 0 and c.ric_records_rejected == 0
         assert c.ric_toast_lookups == len(LIBRARIES) * c.hidden_classes_created
 
+    @pytest.mark.parametrize(
+        "name, records",
+        [
+            ("records-twice", 2 * len(LIBRARIES)),
+            ("whole-run-plus-per-file", 1 + len(LIBRARIES)),
+            ("edited-source", len(LIBRARIES)),
+        ],
+    )
+    def test_every_record_of_a_list_is_charged_a_lookup(self, loads, name, records):
+        profile, calls, _ = loads[name]
+        c = profile.counters
+        assert calls["on_hidden_class_created"] == c.hidden_classes_created
+        assert c.ric_preloads > 0 and c.ric_records_rejected == 0
+        assert c.ric_toast_lookups == records * c.hidden_classes_created
+
     @pytest.mark.parametrize("name", [f"order-{seed}" for seed in ORDER_SEEDS])
     def test_index_skips_sessions_without_a_toast_entry(self, loads, name):
-        profile, calls = loads[name]
-        assert 0 < calls < len(LIBRARIES) * profile.counters.hidden_classes_created
+        """One hook call per hidden class; the TOAST index matches it only
+        against the records with an entry for its creation key."""
+        profile, calls, _ = loads[name]
+        hidden_classes = profile.counters.hidden_classes_created
+        assert calls["on_hidden_class_created"] == hidden_classes
+        assert profile.counters.ric_toast_lookups == len(LIBRARIES) * hidden_classes
+        assert 0 < calls["_match"] < len(LIBRARIES) * hidden_classes
 
     def test_naive_match_still_visits_every_session(self, loads):
-        profile, calls = loads["naive-match"]
+        """The naive-match ablation ignores the TOAST and matches every
+        hidden class against every record."""
+        profile, calls, _ = loads["naive-match"]
         hidden_classes = profile.counters.hidden_classes_created
-        assert calls == len(LIBRARIES) * hidden_classes
-        assert profile.counters.ric_toast_lookups == calls
+        assert calls["on_hidden_class_created"] == hidden_classes
+        assert calls["_naive_match"] == len(LIBRARIES) * hidden_classes
+        assert profile.counters.ric_toast_lookups == len(LIBRARIES) * hidden_classes
 
 
 # -- write-back into the fallback store ---------------------------------------
