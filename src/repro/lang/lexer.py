@@ -1,12 +1,20 @@
-"""Hand-written scanner for jsl source code.
+"""Regex scanner for jsl source code.
 
-The lexer is a single pass over the source text producing a list of
-:class:`~repro.lang.tokens.Token`.  It tracks line and column so every token
-(and hence every object access site) gets a stable
-:class:`~repro.lang.errors.SourcePosition`.
+One compiled master pattern splits the source into (trivia, token)
+pairs in a single call; a loop then classifies each token and gives it
+a :class:`~repro.lang.errors.SourcePosition` (the stable identity of
+every object access site).  Line and column come from the offsets at
+which lines start; columns count code points, ``\\r`` and ``\\t``
+included.  Numeric literals use ASCII digits only; identifiers start
+with a ``str.isalpha`` letter, ``_`` or ``$`` and continue with
+``str.isalnum`` characters, ``_`` or ``$``.
 """
 
 from __future__ import annotations
+
+import re
+from itertools import accumulate
+from string import ascii_letters, digits
 
 from repro.lang.errors import JSLSyntaxError, SourcePosition
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
@@ -19,259 +27,145 @@ _ESCAPES = {
     "f": "\f",
     "v": "\v",
     "0": "\0",
-    "\\": "\\",
-    "'": "'",
-    '"': '"',
-    "`": "`",
     "\n": "",  # line continuation
 }
 
-# Multi-character operators, longest first so maximal munch works.
-_OPERATORS = [
-    (">>>", TokenKind.USHR),
-    ("===", TokenKind.STRICT_EQ),
-    ("!==", TokenKind.STRICT_NEQ),
-    ("<<", TokenKind.SHL),
-    (">>", TokenKind.SHR),
-    ("==", TokenKind.EQ),
-    ("!=", TokenKind.NEQ),
-    ("<=", TokenKind.LE),
-    (">=", TokenKind.GE),
-    ("&&", TokenKind.AND),
-    ("||", TokenKind.OR),
-    ("++", TokenKind.PLUS_PLUS),
-    ("--", TokenKind.MINUS_MINUS),
-    ("+=", TokenKind.PLUS_ASSIGN),
-    ("-=", TokenKind.MINUS_ASSIGN),
-    ("*=", TokenKind.STAR_ASSIGN),
-    ("/=", TokenKind.SLASH_ASSIGN),
-    ("%=", TokenKind.PERCENT_ASSIGN),
-    ("(", TokenKind.LPAREN),
-    (")", TokenKind.RPAREN),
-    ("{", TokenKind.LBRACE),
-    ("}", TokenKind.RBRACE),
-    ("[", TokenKind.LBRACKET),
-    ("]", TokenKind.RBRACKET),
-    (";", TokenKind.SEMICOLON),
-    (",", TokenKind.COMMA),
-    (".", TokenKind.DOT),
-    (":", TokenKind.COLON),
-    ("?", TokenKind.QUESTION),
-    ("=", TokenKind.ASSIGN),
-    ("+", TokenKind.PLUS),
-    ("-", TokenKind.MINUS),
-    ("*", TokenKind.STAR),
-    ("/", TokenKind.SLASH),
-    ("%", TokenKind.PERCENT),
-    ("<", TokenKind.LT),
-    (">", TokenKind.GT),
-    ("!", TokenKind.NOT),
-    ("&", TokenKind.BIT_AND),
-    ("|", TokenKind.BIT_OR),
-    ("^", TokenKind.BIT_XOR),
-    ("~", TokenKind.BIT_NOT),
-]
+#: Punctuators and operators are the kinds spelled by their own value.
+_OPERATORS = {kind.value: kind for kind in TokenKind if not kind.value.isalpha()}
+#: Every token whose kind follows from its text alone.
+_FIXED = {**KEYWORDS, **_OPERATORS}
+#: The kind of any other token, by its first character ("" is the end).
+_LEADING = {
+    **dict.fromkeys(ascii_letters + "_$", TokenKind.IDENT),
+    **dict.fromkeys(digits + ".", TokenKind.NUMBER),
+    '"': TokenKind.STRING,
+    "'": TokenKind.STRING,
+    "": TokenKind.EOF,
+}
 
 
-class Lexer:
-    """Tokenizes one jsl source file."""
+def _string_body(quote: str) -> str:
+    """Characters of a string literal up to its closing ``quote``: no raw
+    newline, and a backslash escapes any one character."""
+    return rf"[^{quote}\\\n]*(?:\\[\s\S][^{quote}\\\n]*)*"
 
-    def __init__(self, source: str, filename: str = "<script>"):
-        self._source = source
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
 
-    def tokenize(self) -> list[Token]:
-        """Scan the whole input and return its tokens, ending with EOF."""
-        tokens: list[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
-
-    # -- internals ---------------------------------------------------------
-
-    def _position(self) -> SourcePosition:
-        return SourcePosition(self._filename, self._line, self._col)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._source):
-            return ""
-        return self._source[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            if self._source[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments."""
-        while self._pos < len(self._source):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                start = self._position()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self._pos >= len(self._source):
-                        raise JSLSyntaxError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        position = self._position()
-        char = self._peek()
-
-        if not char:
-            return Token(TokenKind.EOF, None, position)
-        if char.isdigit() or (char == "." and self._peek(1).isdigit()):
-            return self._scan_number(position)
-        if char.isalpha() or char in "_$":
-            return self._scan_identifier(position)
-        if char in "'\"":
-            return self._scan_string(position)
-
-        for spelling, kind in _OPERATORS:
-            if self._source.startswith(spelling, self._pos):
-                self._advance(len(spelling))
-                return Token(kind, spelling, position)
-
-        raise JSLSyntaxError(f"unexpected character {char!r}", position)
-
-    def _scan_number(self, position: SourcePosition) -> Token:
-        start = self._pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            if not self._is_hex_digit(self._peek()):
-                raise JSLSyntaxError("malformed hex literal", position)
-            while self._is_hex_digit(self._peek()):
-                self._advance()
-            text = self._source[start:self._pos]
-            return Token(TokenKind.NUMBER, float(int(text, 16)), position)
-
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        elif self._peek() == ".":
-            # Trailing dot as in `1.` is a valid JS number.
-            next_char = self._peek(1)
-            if next_char and (next_char.isalpha() or next_char in "_$"):
-                pass  # `1.toString` style: leave the dot for member access
-            else:
-                self._advance()
-        if self._peek() and self._peek() in "eE":
-            self._advance()
-            if self._peek() and self._peek() in "+-":
-                self._advance()
-            if not self._peek().isdigit():
-                raise JSLSyntaxError("malformed exponent", position)
-            while self._peek().isdigit():
-                self._advance()
-        text = self._source[start:self._pos]
-        return Token(TokenKind.NUMBER, float(text), position)
-
-    @staticmethod
-    def _is_hex_digit(char: str) -> bool:
-        return bool(char) and char in "0123456789abcdefABCDEF"
-
-    def _scan_four_hex(self, position: SourcePosition) -> int:
-        """Consume exactly four hex digits (the payload of a \\u escape)."""
-        digits = "".join(self._peek(i) for i in range(4))
-        if len(digits) != 4 or not all(self._is_hex_digit(d) for d in digits):
-            raise JSLSyntaxError("malformed unicode escape", position)
-        self._advance(4)
-        return int(digits, 16)
-
-    def _scan_identifier(self, position: SourcePosition) -> Token:
-        start = self._pos
-        while True:
-            char = self._peek()
-            if not char or not (char.isalnum() or char in "_$"):
-                break
-            self._advance()
-        text = self._source[start:self._pos]
-        keyword = KEYWORDS.get(text)
-        if keyword is not None:
-            return Token(keyword, text, position)
-        return Token(TokenKind.IDENT, text, position)
-
-    def _scan_string(self, position: SourcePosition) -> Token:
-        quote = self._peek()
-        self._advance()
-        parts: list[str] = []
-        while True:
-            char = self._peek()
-            if not char or char == "\n":
-                raise JSLSyntaxError("unterminated string literal", position)
-            if char == quote:
-                self._advance()
-                return Token(TokenKind.STRING, "".join(parts), position)
-            if char == "\\":
-                self._advance()
-                escape = self._peek()
-                if escape == "u":
-                    self._advance()
-                    code_unit = self._scan_four_hex(position)
-                    # Combine UTF-16 surrogate pairs (𐀀 etc.) into
-                    # the astral code point, matching JS string semantics.
-                    if 0xD800 <= code_unit <= 0xDBFF and (
-                        self._peek() == "\\" and self._peek(1) == "u"
-                    ):
-                        mark_pos, mark_col = self._pos, self._col
-                        self._advance(2)
-                        low = self._scan_four_hex(position)
-                        if 0xDC00 <= low <= 0xDFFF:
-                            combined = 0x10000 + (
-                                (code_unit - 0xD800) << 10
-                            ) + (low - 0xDC00)
-                            parts.append(chr(combined))
-                            continue
-                        # Not a low surrogate: rewind (strings contain no
-                        # newlines, so restoring the column is enough).
-                        self._pos, self._col = mark_pos, mark_col
-                        parts.append(chr(code_unit))
-                        continue
-                    parts.append(chr(code_unit))
-                elif escape == "x":
-                    self._advance()
-                    digits = self._peek() + self._peek(1)
-                    if len(digits) != 2 or not all(
-                        self._is_hex_digit(d) for d in digits
-                    ):
-                        raise JSLSyntaxError("malformed hex escape", position)
-                    self._advance(2)
-                    parts.append(chr(int(digits, 16)))
-                elif escape in _ESCAPES:
-                    parts.append(_ESCAPES[escape])
-                    self._advance()
-                else:
-                    parts.append(escape)
-                    self._advance()
-            else:
-                parts.append(char)
-                self._advance()
+_TRIVIA = r"[ \t\r\n]*(?:(?://[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)[ \t\r\n]*)*"
+_NAME = r"(?:[^\W\d]|\$)[\w$]*"
+_NUMBER = (
+    r"0[xX][0-9a-fA-F]*"
+    # A trailing dot belongs to the number unless a name follows (`1.x`).
+    r"|(?:[0-9]+(?:\.[0-9]+|\.(?![^\W\d]|\$))?|\.[0-9]+)(?:[eE][+-]?[0-9]*)?"
+)
+_STRING = "|".join(quote + _string_body(quote) + quote for quote in "\"'")
+_OPERATOR = "|".join(map(re.escape, sorted(_OPERATORS, key=len, reverse=True)))
+#: (trivia, token) at every offset.  The token alternatives, in order: a
+#: name, a number, a whole string literal, the start of an unterminated
+#: block comment, an operator (longest first), any other character, and
+#: the empty token at the end of the input.  Malformed numbers, a lone
+#: quote and ``/*`` are matched so the loop can report them.
+_MASTER = re.compile(rf"({_TRIVIA})({_NAME}|{_NUMBER}|{_STRING}|/\*|{_OPERATOR}|[\s\S]|)")
+_STRING_PREFIX = {quote: re.compile(_string_body(quote)) for quote in "\"'"}
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
 
 
 def tokenize(source: str, filename: str = "<script>") -> list[Token]:
-    """Convenience wrapper: tokenize ``source`` in one call."""
-    return Lexer(source, filename).tokenize()
+    """Scan the whole of ``source`` and return its tokens, ending with EOF."""
+    tokens: list[Token] = []
+    append = tokens.append
+    # Offsets at which lines 2, 3, ... start, then one past the end.
+    line_starts = list(accumulate(len(text) + 1 for text in source.split("\n")))
+    line, line_start, next_line_start = 1, 0, line_starts[0]
+    offset = 0
+    for trivia, text in _MASTER.findall(source):
+        start = offset + len(trivia)
+        offset = start + len(text)
+        while start >= next_line_start:
+            line_start = next_line_start
+            next_line_start = line_starts[line]
+            line += 1
+        position = SourcePosition(filename, line, start - line_start + 1)
+        kind = _FIXED.get(text)
+        if kind is not None:
+            append(Token(kind, text, position))
+            continue
+        kind = _LEADING.get(text[:1])
+        if kind is TokenKind.IDENT:
+            append(Token(kind, text, position))
+        elif kind is TokenKind.NUMBER:
+            append(Token(kind, _number(text, position), position))
+        elif kind is TokenKind.STRING:
+            append(Token(kind, _string(source, start, text, position), position))
+        elif kind is TokenKind.EOF:
+            append(Token(kind, None, position))
+            return tokens
+        elif text[0].isalpha():
+            append(Token(TokenKind.IDENT, text, position))
+        elif text == "/*":
+            raise JSLSyntaxError("unterminated block comment", position)
+        else:
+            raise JSLSyntaxError(f"unexpected character {text[0]!r}", position)
+    raise AssertionError("the master pattern always ends with the empty token")
+
+
+def _number(text: str, position: SourcePosition) -> float:
+    if text[1:2] in ("x", "X"):
+        if len(text) == 2:
+            raise JSLSyntaxError("malformed hex literal", position)
+        try:
+            return float(int(text, 16))
+        except OverflowError:  # past the double range: Infinity, as in JS
+            return float("inf")
+    try:
+        return float(text)
+    except ValueError:  # an exponent marker without digits
+        raise JSLSyntaxError("malformed exponent", position) from None
+
+
+def _string(source: str, start: int, text: str, position: SourcePosition) -> str:
+    """The value of the string literal ``text``.  A lone quote opens an
+    unterminated one: its escapes are still decoded first, so a bad
+    escape is reported ahead of the missing quote, as a left-to-right
+    scan would."""
+    if len(text) == 1:
+        body = _STRING_PREFIX[text].match(source, start + 1).group()
+        _unescape(body, position)
+        raise JSLSyntaxError("unterminated string literal", position)
+    body = text[1:-1]
+    return _unescape(body, position) if "\\" in body else body
+
+
+def _unescape(body: str, position: SourcePosition) -> str:
+    parts: list[str] = []
+    index = 0
+    while True:
+        slash = body.find("\\", index)
+        if slash < 0:
+            parts.append(body[index:])
+            return "".join(parts)
+        parts.append(body[index:slash])
+        escape = body[slash + 1 : slash + 2]
+        index = slash + 2
+        if escape == "u":
+            code = _hex(body, index, 4, "malformed unicode escape", position)
+            index += 4
+            # A high surrogate escape followed by a low one is one astral
+            # code point, as in JS; any other \u after it stands alone.
+            if 0xD800 <= code <= 0xDBFF and body.startswith("\\u", index):
+                low = _hex(body, index + 2, 4, "malformed unicode escape", position)
+                if 0xDC00 <= low <= 0xDFFF:
+                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                    index += 6
+            parts.append(chr(code))
+        elif escape == "x":
+            parts.append(chr(_hex(body, index, 2, "malformed hex escape", position)))
+            index += 2
+        else:
+            parts.append(_ESCAPES.get(escape, escape))
+
+
+def _hex(body: str, index: int, count: int, message: str, position: SourcePosition) -> int:
+    digits = body[index : index + count]
+    if len(digits) != count or _HEX_DIGITS.fullmatch(digits) is None:
+        raise JSLSyntaxError(message, position)
+    return int(digits, 16)

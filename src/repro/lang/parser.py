@@ -61,11 +61,14 @@ class Parser:
     # -- token helpers -----------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        # ``_index`` never passes the final EOF token; a lookahead past it
+        # reads EOF again.
+        if offset:
+            return self._tokens[min(self._index + offset, len(self._tokens) - 1)]
+        return self._tokens[self._index]
 
     def _at(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self._tokens[self._index].kind is kind
 
     def _advance(self) -> Token:
         token = self._tokens[self._index]

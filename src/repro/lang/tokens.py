@@ -10,7 +10,7 @@ expression/statement forms.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.lang.errors import SourcePosition
 
@@ -137,8 +137,7 @@ KEYWORDS: dict[str, TokenKind] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its source position.
 
     ``value`` is the decoded payload for literals (the numeric value for

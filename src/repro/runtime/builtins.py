@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json as _json
 import math
+import re
 import time
 import typing
 
@@ -23,11 +24,15 @@ from repro.runtime.context import Runtime
 from repro.runtime.objects import JSArray, JSFunction, JSObject
 from repro.runtime.values import (
     NULL,
+    STR_DECIMAL_LITERAL,
+    STR_WHITESPACE,
     UNDEFINED,
     element_index,
+    integer_to_number,
     number_to_string,
     to_array_length,
     to_boolean,
+    to_int32,
     to_number,
     to_property_key,
     to_string,
@@ -35,6 +40,9 @@ from repro.runtime.values import (
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.interpreter.vm import VM
+
+#: The digits of radix 36; radix ``r`` uses the first ``r``, either case.
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 #: Global-object property order; fixed so the global hidden class layout is
 #: identical in every execution.
@@ -794,48 +802,32 @@ def install_builtins(runtime: Runtime) -> None:
         return math.isfinite(to_number(args[0]) if args else float("nan"))
 
     def global_parse_int(vm: "VM", this: object, args: list) -> object:
-        text = to_string(args[0]).strip() if args else ""
-        radix = int(to_number(args[1])) if len(args) > 1 and args[1] is not UNDEFINED else 10
-        if radix == 0:
-            radix = 10
-        sign = 1
-        if text[:1] in "+-":
-            if text[0] == "-":
-                sign = -1
+        # ECMA-262 §19.2.5: ASCII digits of the radix, after an optional
+        # sign and, for radix 0 or 16, an optional 0x.
+        text = to_string(args[0] if args else UNDEFINED).lstrip(STR_WHITESPACE)
+        sign = -1.0 if text[:1] == "-" else 1.0
+        if text[:1] in ("+", "-"):
             text = text[1:]
-        if radix == 16 and text[:2].lower() == "0x":
-            text = text[2:]
-        digits = ""
-        valid = "0123456789abcdefghijklmnopqrstuvwxyz"[:radix]
-        for char in text.lower():
-            if char not in valid:
-                break
-            digits += char
+        radix = to_int32(args[1]) if len(args) > 1 else 0
+        if radix and not 2 <= radix <= 36:
+            return float("nan")
+        if radix in (0, 16) and text[:2] in ("0x", "0X"):
+            text, radix = text[2:], 16
+        radix = radix or 10
+        digits = re.match(f"[{_DIGITS[:radix]}{_DIGITS[10:radix].upper()}]*", text).group()
         if not digits:
             return float("nan")
-        return float(sign * int(digits, radix))
+        if radix == 10:
+            return sign * float(digits)
+        try:
+            return sign * integer_to_number(int(digits, radix))
+        except ValueError:  # past CPython's digit limit, so past the double range
+            return sign * math.inf
 
     def global_parse_float(vm: "VM", this: object, args: list) -> object:
-        text = to_string(args[0]).strip() if args else ""
-        matched = ""
-        seen_dot = seen_exp = False
-        for index, char in enumerate(text):
-            if char.isdigit():
-                matched += char
-            elif char == "." and not seen_dot and not seen_exp:
-                matched += char
-                seen_dot = True
-            elif char in "eE" and matched and not seen_exp:
-                matched += char
-                seen_exp = True
-            elif char in "+-" and (index == 0 or matched[-1:] in "eE"):
-                matched += char
-            else:
-                break
-        try:
-            return float(matched)
-        except ValueError:
-            return float("nan")
+        text = to_string(args[0] if args else UNDEFINED).lstrip(STR_WHITESPACE)
+        matched = STR_DECIMAL_LITERAL.match(text)
+        return float(matched.group()) if matched else float("nan")
 
     # --- primitive methods (strings / numbers) -------------------------------------------
 

@@ -10,8 +10,26 @@ interpreter loop fast; only objects participate in hidden classes and IC.
 from __future__ import annotations
 
 import math
+import re
 
 from repro.lang.errors import JSLRangeError
+
+#: StrWhiteSpaceChar (ECMA-262 §7.1.4.1): WhiteSpace and LineTerminator.
+#: Not ``str.strip()``'s set, which keeps U+FEFF and adds U+001C-U+001F
+#: and U+0085.
+STR_WHITESPACE = (
+    "\t\n\v\f\r \xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
+    "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000\ufeff"
+)
+#: StrDecimalLiteral (ECMA-262 §7.1.4.1): ASCII digits, no separators, and
+#: ``Infinity`` spelled exactly.  ``to_number`` matches it against the
+#: whole trimmed string, ``parseFloat`` against the longest prefix.
+STR_DECIMAL_LITERAL = re.compile(
+    r"[+-]?(?:Infinity|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+)
+#: The unsigned ``0x``/``0o``/``0b`` integers of StringNumericLiteral.
+_NON_DECIMAL_INTEGER = re.compile(r"0(?:[xX][0-9a-fA-F]+|[oO][0-7]+|[bB][01]+)")
+_PREFIX_RADIX = {"x": 16, "o": 8, "b": 2}
 
 
 class _Undefined:
@@ -86,16 +104,25 @@ def to_number(value: object) -> float:
     if value is NULL:
         return 0.0
     if isinstance(value, str):
-        text = value.strip()
+        # StringToNumber (ECMA-262 §7.1.4.1.1).
+        text = value.strip(STR_WHITESPACE)
         if not text:
             return 0.0
-        try:
-            if text.lower().startswith(("0x", "-0x", "+0x")):
-                return float(int(text, 16))
+        if STR_DECIMAL_LITERAL.fullmatch(text):
             return float(text)
-        except ValueError:
-            return float("nan")
+        if _NON_DECIMAL_INTEGER.fullmatch(text):
+            return integer_to_number(int(text[2:], _PREFIX_RADIX[text[1].lower()]))
+        return float("nan")
     return float("nan")  # objects: simplified (no valueOf protocol)
+
+
+def integer_to_number(value: int) -> float:
+    """The double nearest ``value``: infinite past the double range,
+    where Python's ``float`` raises."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def number_divide(dividend: float, divisor: float) -> float:

@@ -58,6 +58,15 @@ _NUMBER_STRINGS = [
 ]
 
 
+def number_sources(literal: str) -> "tuple[str, str]":
+    """The programs that print ``literal``: as a value, and as the key it
+    names."""
+    return (
+        f"console.log({literal});",
+        f"var o = {{}}; o[{literal}] = 1; for (var k in o) console.log(k);",
+    )
+
+
 class TestNumberFormatting:
     def test_huge_integral_numbers_keep_repr(self):
         # From 1e21 on, JS switches to exponent form.
@@ -73,12 +82,11 @@ class TestNumberFormatting:
 
     @pytest.mark.parametrize("literal, expected", _NUMBER_STRINGS)
     def test_console_log_prints_like_node(self, literal, expected):
-        assert console_of(f"console.log({literal});") == [expected]
+        assert console_of(number_sources(literal)[0]) == [expected]
 
     @pytest.mark.parametrize("literal, expected", _NUMBER_STRINGS)
     def test_number_keyed_property_name(self, literal, expected):
-        source = f"var o = {{}}; o[{literal}] = 1; for (var k in o) console.log(k);"
-        assert console_of(source) == [expected]
+        assert console_of(number_sources(literal)[1]) == [expected]
 
 
 #: ``/`` and ``%`` corners with the results node prints.  ``{0}``, ``{1}``
@@ -102,17 +110,26 @@ _DIVISION_CASES = [
 ]
 
 
+def division_sources(template: str, operands: "tuple[str, ...]") -> "tuple[str, str]":
+    """The programs that print one division case: operands in variables,
+    and operands as literals."""
+    names = [f"v{i}" for i in range(len(operands))]
+    declarations = "".join(f"var {n} = {o}; " for n, o in zip(names, operands))
+    return (
+        f"{declarations}console.log({template.format(*names)});",
+        f"console.log({template.format(*operands)});",
+    )
+
+
 class TestDivisionAndRemainder:
     @pytest.mark.parametrize("template, operands, expected", _DIVISION_CASES)
     def test_operands_in_variables(self, template, operands, expected):
-        names = [f"v{i}" for i in range(len(operands))]
-        declarations = "".join(f"var {n} = {o}; " for n, o in zip(names, operands))
-        source = f"{declarations}console.log({template.format(*names)});"
+        source = division_sources(template, operands)[0]
         assert console_of(source) == [expected]
 
     @pytest.mark.parametrize("template, operands, expected", _DIVISION_CASES)
     def test_literal_operands_fold(self, template, operands, expected):
-        source = f"console.log({template.format(*operands)});"
+        source = division_sources(template, operands)[1]
         code = compile_source(source, "fold.jsl")
         optimize_code(code)
         assert Op.BINARY not in [op for op, _, _ in code.instructions]
@@ -310,6 +327,36 @@ class TestOwnElements:
     def test_prints_like_node(self, case):
         source, expected = _OWN_ELEMENT_CASES[case]
         assert console_of(source) == expected
+
+
+#: String-to-number conversions, with what node prints: ``Number`` and
+#: the arithmetic operators take the whole string (trimmed of JS white
+#: space) as a StrDecimalLiteral or an unsigned 0x/0o/0b integer,
+#: ``parseFloat`` the longest StrDecimalLiteral prefix, and ``parseInt``
+#: the ASCII digits of a radix that ToInt32 makes 0 (10) or 2-36.
+_STRING_TO_NUMBER_CASES = [
+    ('Number("1_000")', "NaN"),
+    ('Number("١٢")', "NaN"),
+    ('Number("INFINITY")', "NaN"),
+    ('"3" - "inf"', "NaN"),
+    ('Number("-0x10")', "NaN"),
+    (r'Number("\ufeff5")', "5"),
+    ('Number("0b11")', "3"),
+    ('Number("0o17")', "15"),
+    ('parseFloat("١")', "NaN"),
+    ('parseFloat("Infinityx")', "Infinity"),
+    ('parseFloat("1e")', "1"),
+    ('parseInt("0x1_0")', "1"),
+    ('parseInt("5", 0 / 0)', "5"),
+    ('parseInt("5", 1 / 0)', "5"),
+    ('parseInt("10", 37)', "NaN"),
+]
+
+
+class TestStringToNumber:
+    @pytest.mark.parametrize("expression, expected", _STRING_TO_NUMBER_CASES)
+    def test_prints_like_node(self, expression, expected):
+        assert console_of(f"console.log({expression});") == [expected]
 
 
 class TestGuestSemanticsCorners:

@@ -1,9 +1,11 @@
 """Unit tests for the jsl lexer."""
 
+import re
+
 import pytest
 
 from repro.lang.errors import JSLSyntaxError
-from repro.lang.lexer import tokenize
+from repro.lang.lexer import _NAME, tokenize
 from repro.lang.tokens import TokenKind
 
 
@@ -44,6 +46,9 @@ class TestNumbers:
 
     def test_hex_lowercase(self):
         assert tokenize("0xdeadBEEF")[0].value == float(0xDEADBEEF)
+
+    def test_hex_past_the_double_range_is_infinity(self):
+        assert tokenize("0x" + "f" * 300)[0].value == float("inf")
 
     def test_malformed_hex_raises(self):
         with pytest.raises(JSLSyntaxError):
@@ -188,3 +193,55 @@ class TestTriviaAndPositions:
     def test_eof_is_idempotent(self):
         tokens = tokenize("  \n\t ")
         assert tokens[-1].kind is TokenKind.EOF
+
+
+class TestAsciiDigits:
+    """Numeric literals take ASCII digits only: any other Unicode digit is
+    an unexpected character, where node throws a SyntaxError.  Names keep
+    their own rule (``str.isalpha`` to start, ``str.isalnum`` to go on),
+    so ``x²`` stays a name although node rejects it."""
+
+    @pytest.mark.parametrize(
+        "source, column",
+        [
+            ("console.log(1 + ²);", 17),
+            ("var a = ١; console.log(a);", 9),
+            ("var b = 1١;", 10),
+            ("var c = 1.²;", 11),
+            ("var d = .١;", 10),
+        ],
+    )
+    def test_non_ascii_digit_is_an_unexpected_character(self, source, column):
+        with pytest.raises(JSLSyntaxError) as info:
+            tokenize(source)
+        assert info.value.message == f"unexpected character {source[column - 1]!r}"
+        assert info.value.position.column == column
+
+    @pytest.mark.parametrize("name", ["x²", "é", "naïve", "a١", "π", "_٣", "$é"])
+    def test_unicode_names_keep_the_identifier_rule(self, name):
+        assert [(t.kind, t.value) for t in tokenize(name)][:-1] == [
+            (TokenKind.IDENT, name)
+        ]
+
+    def test_name_pattern_continues_exactly_on_isalnum(self):
+        # The lexer's name pattern relies on `\w` being `str.isalnum()`
+        # or `_` for every code point.
+        name = re.compile(_NAME)
+        wrong = [
+            hex(code)
+            for code in range(0x80, 0x110000)
+            if (name.fullmatch("a" + chr(code)) is not None)
+            != chr(code).isalnum()
+        ]
+        assert wrong == []
+
+    def test_run_cli_exits_with_the_parse_error_code(self, tmp_path, capsys):
+        from repro.harness.run_cli import EXIT_PARSE, main
+
+        for index, source in enumerate(["console.log(1 + ²);", "var a = ١; console.log(a);"]):
+            script = tmp_path / f"digits{index}.jsl"
+            script.write_text(source, encoding="utf-8")
+            assert main([str(script)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("unexpected character") == 2

@@ -2,13 +2,15 @@
 
 import json
 import math
+import string
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bytecode.cache import decode_entry, encode_entry
 from repro.bytecode.compiler import compile_source
 from repro.core.engine import Engine
+from repro.lang.errors import JSLSyntaxError
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import TokenKind
 from repro.runtime.heap import Heap
@@ -36,6 +38,14 @@ identifiers = st.from_regex(r"[a-zA-Z_$][a-zA-Z0-9_$]{0,8}", fullmatch=True).fil
         "instanceof", "this", "null", "undefined", "true", "false", "throw",
         "try", "catch", "finally", "switch", "case", "default",
     }
+)
+
+#: Text for the lexer: ASCII letters, digits and punctuation (quotes and
+#: backslash included), line breaks and tabs, and a few non-ASCII
+#: letters, digits and spaces.
+_LEXER_ALPHABET = (
+    string.ascii_letters + string.digits + string.punctuation + " \n\r\t"
+    + "éπ" + "²١" + "\xa0\u2003"
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
@@ -76,6 +86,17 @@ class TestLexerProperties:
     def test_token_count_matches_words(self, names):
         tokens = tokenize(" ".join(names))
         assert len(tokens) == len(names) + 1  # + EOF
+
+    @given(st.text(alphabet=_LEXER_ALPHABET, max_size=40))
+    @example("console.log(1 + ²);")
+    def test_any_text_lexes_or_raises_a_syntax_error(self, text):
+        try:
+            tokens = tokenize(text)
+        except JSLSyntaxError:
+            return
+        assert tokens[-1].kind is TokenKind.EOF
+        positions = [(t.position.line, t.position.column) for t in tokens]
+        assert positions == sorted(set(positions))
 
 
 # -- value-model properties -------------------------------------------------------

@@ -70,6 +70,15 @@ class TestToNumber:
     def test_garbage_string_is_nan(self):
         assert math.isnan(to_number("12abc"))
 
+    def test_only_js_white_space_is_trimmed(self):
+        # U+FEFF and U+3000 are JS white space; U+001C is not.
+        assert to_number("\ufeff 5\u3000") == 5.0
+        assert math.isnan(to_number("\x1c5"))
+
+    def test_integers_past_the_double_range_are_infinite(self):
+        assert to_number("0x" + "f" * 300) == math.inf
+        assert to_number("0b" + "1" * 1100) == math.inf
+
 
 class TestNumberToString:
     def test_integral_drops_point(self):
