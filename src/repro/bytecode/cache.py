@@ -77,7 +77,7 @@ def _code_to_tuple(code: CodeObject, table: dict) -> tuple:
         ),
         code.names, code.local_names,
         tuple(
-            (slot.kind.value, *_position(slot.position), slot.name)
+            (slot.kind._value_, *_position(slot.position), slot.name)
             for slot in code.feedback_slots
         ),
         code.decl_key,

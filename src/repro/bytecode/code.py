@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro.lang.errors import SourcePosition
 
@@ -32,6 +33,12 @@ class SiteKind(enum.Enum):
     GLOBAL_STORE = "global_store"
 
 
+#: The members of :class:`SiteKind` as plain attributes (``SiteKinds.NAMED_LOAD
+#: is SiteKind.NAMED_LOAD``), for code that runs per site or per IC access
+#: (docs/INTERNALS.md §8).
+SiteKinds = SimpleNamespace(**SiteKind.__members__)
+
+
 @dataclass(frozen=True)
 class FeedbackSlotInfo:
     """Static metadata for one object access site.
@@ -50,14 +57,19 @@ class FeedbackSlotInfo:
     #: the fields above once per slot: site registration, quickening and
     #: IC misses that create hidden classes all read it.
     site_key: str = field(init=False, repr=False, compare=False)
+    #: Whether RIC may link/preload this site at all (named sites only).
+    reusable: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "site_key", f"{self.position}:{self.kind.value}")
-
-    @property
-    def reusable(self) -> bool:
-        """Whether RIC may link/preload this site at all."""
-        return self.kind in (SiteKind.NAMED_LOAD, SiteKind.NAMED_STORE)
+        kind = self.kind
+        # ``_value_`` is the member's plain attribute; ``.value`` is a
+        # property, read once per slot of every decoded code-cache entry.
+        object.__setattr__(self, "site_key", f"{self.position}:{kind._value_}")
+        object.__setattr__(
+            self,
+            "reusable",
+            kind is SiteKinds.NAMED_LOAD or kind is SiteKinds.NAMED_STORE,
+        )
 
 
 @dataclass

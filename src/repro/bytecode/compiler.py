@@ -15,8 +15,8 @@ to a global IC site.
 
 from __future__ import annotations
 
-from repro.bytecode.code import CodeObject, FeedbackSlotInfo, SiteKind
-from repro.bytecode.opcodes import BINOP_BY_SPELLING, UNOP_BY_SPELLING, BinOp, Op
+from repro.bytecode.code import CodeObject, FeedbackSlotInfo, SiteKind, SiteKinds
+from repro.bytecode.opcodes import BINOP_BY_SPELLING, UNOP_BY_SPELLING, BinOps, Op, Ops, UnOps
 from repro.lang import ast_nodes as ast
 from repro.lang.errors import JSLCompileError, SourcePosition
 from repro.runtime.values import element_index
@@ -162,8 +162,8 @@ class _FunctionCompiler:
         return len(self.code.feedback_slots) - 1
 
     def finish(self) -> CodeObject:
-        self.emit(Op.LOAD_UNDEFINED)
-        self.emit(Op.RETURN)
+        self.emit(Ops.LOAD_UNDEFINED)
+        self.emit(Ops.RETURN)
         self.code.local_names = list(self.scope.local_names)
         return self.code
 
@@ -201,8 +201,8 @@ class Compiler:
         declared = _collect_declarations(body)
         for name, position in declared.vars:
             if toplevel:
-                slot = fn.feedback(SiteKind.GLOBAL_STORE, position, name)
-                fn.emit(Op.DECLARE_GLOBAL, fn.name(name), slot)
+                slot = fn.feedback(SiteKinds.GLOBAL_STORE, position, name)
+                fn.emit(Ops.DECLARE_GLOBAL, fn.name(name), slot)
             else:
                 fn.scope.declare(name)
         for decl in declared.functions:
@@ -212,15 +212,15 @@ class Compiler:
             code = self._compile_function(
                 fn, decl.name, decl.params, decl.body, decl.position
             )
-            fn.emit(Op.MAKE_FUNCTION, fn.const(code))
+            fn.emit(Ops.MAKE_FUNCTION, fn.const(code))
             if toplevel:
-                slot = fn.feedback(SiteKind.GLOBAL_STORE, decl.position, decl.name)
-                fn.emit(Op.DECLARE_GLOBAL, fn.name(decl.name), slot)
-                slot2 = fn.feedback(SiteKind.GLOBAL_STORE, decl.position, decl.name)
-                fn.emit(Op.STORE_GLOBAL, fn.name(decl.name), slot2)
-                fn.emit(Op.POP)
+                slot = fn.feedback(SiteKinds.GLOBAL_STORE, decl.position, decl.name)
+                fn.emit(Ops.DECLARE_GLOBAL, fn.name(decl.name), slot)
+                slot2 = fn.feedback(SiteKinds.GLOBAL_STORE, decl.position, decl.name)
+                fn.emit(Ops.STORE_GLOBAL, fn.name(decl.name), slot2)
+                fn.emit(Ops.POP)
             else:
-                fn.emit(Op.STORE_LOCAL, fn.scope.locals[decl.name])
+                fn.emit(Ops.STORE_LOCAL, fn.scope.locals[decl.name])
 
     def _compile_function(
         self,
@@ -251,7 +251,7 @@ class Compiler:
         fn.current_position = node.position
         if isinstance(node, ast.ExpressionStatement):
             self._expr(fn, node.expression)
-            fn.emit(Op.POP)
+            fn.emit(Ops.POP)
         elif isinstance(node, ast.VariableDeclaration):
             self._var_declaration(fn, node)
         elif isinstance(node, ast.FunctionDeclaration):
@@ -278,8 +278,8 @@ class Compiler:
             if node.value is not None:
                 self._expr(fn, node.value)
             else:
-                fn.emit(Op.LOAD_UNDEFINED)
-            fn.emit(Op.RETURN)
+                fn.emit(Ops.LOAD_UNDEFINED)
+            fn.emit(Ops.RETURN)
         elif isinstance(node, ast.Break):
             if not fn.loops:
                 raise JSLCompileError("break outside of loop", node.position)
@@ -287,7 +287,7 @@ class Compiler:
                 raise JSLCompileError(
                     "break across a try region is not supported", node.position
                 )
-            fn.loops[-1].break_jumps.append(fn.emit(Op.JUMP))
+            fn.loops[-1].break_jumps.append(fn.emit(Ops.JUMP))
         elif isinstance(node, ast.Continue):
             if not fn.loops:
                 raise JSLCompileError("continue outside of loop", node.position)
@@ -295,10 +295,10 @@ class Compiler:
                 raise JSLCompileError(
                     "continue across a try region is not supported", node.position
                 )
-            fn.loops[-1].continue_jumps.append(fn.emit(Op.JUMP))
+            fn.loops[-1].continue_jumps.append(fn.emit(Ops.JUMP))
         elif isinstance(node, ast.Throw):
             self._expr(fn, node.value)
-            fn.emit(Op.THROW)
+            fn.emit(Ops.THROW)
         elif isinstance(node, ast.Try):
             self._try(fn, node)
         elif isinstance(node, ast.Switch):
@@ -318,7 +318,7 @@ class Compiler:
                 continue
             self._expr(fn, declarator.init)
             self._store_identifier(fn, declarator.name, declarator.position)
-            fn.emit(Op.POP)
+            fn.emit(Ops.POP)
 
     def _store_identifier(
         self, fn: _FunctionCompiler, name: str, position: SourcePosition
@@ -326,21 +326,21 @@ class Compiler:
         """Store TOS into ``name``; leaves the value on the stack."""
         where, a, b = fn.scope.resolve(name)
         if where == "local":
-            fn.emit(Op.DUP)
-            fn.emit(Op.STORE_LOCAL, a)
+            fn.emit(Ops.DUP)
+            fn.emit(Ops.STORE_LOCAL, a)
         elif where == "env":
-            fn.emit(Op.DUP)
-            fn.emit(Op.STORE_ENV, a, b)
+            fn.emit(Ops.DUP)
+            fn.emit(Ops.STORE_ENV, a, b)
         else:
-            slot = fn.feedback(SiteKind.GLOBAL_STORE, position, name)
-            fn.emit(Op.STORE_GLOBAL, fn.name(name), slot)
+            slot = fn.feedback(SiteKinds.GLOBAL_STORE, position, name)
+            fn.emit(Ops.STORE_GLOBAL, fn.name(name), slot)
 
     def _if(self, fn: _FunctionCompiler, node: ast.If) -> None:
         self._expr(fn, node.test)
-        jump_else = fn.emit(Op.JUMP_IF_FALSE)
+        jump_else = fn.emit(Ops.JUMP_IF_FALSE)
         self._stmt(fn, node.consequent)
         if node.alternate is not None:
-            jump_end = fn.emit(Op.JUMP)
+            jump_end = fn.emit(Ops.JUMP)
             fn.patch(jump_else, fn.here())
             self._stmt(fn, node.alternate)
             fn.patch(jump_end, fn.here())
@@ -352,11 +352,11 @@ class Compiler:
         fn.loops.append(loop)
         start = fn.here()
         self._expr(fn, node.test)
-        jump_end = fn.emit(Op.JUMP_IF_FALSE)
+        jump_end = fn.emit(Ops.JUMP_IF_FALSE)
         self._stmt(fn, node.body)
         for pc in loop.continue_jumps:
             fn.patch(pc, start)
-        fn.emit(Op.JUMP, start)
+        fn.emit(Ops.JUMP, start)
         end = fn.here()
         fn.patch(jump_end, end)
         for pc in loop.break_jumps:
@@ -372,7 +372,7 @@ class Compiler:
         for pc in loop.continue_jumps:
             fn.patch(pc, test_pc)
         self._expr(fn, node.test)
-        fn.emit(Op.JUMP_IF_TRUE, start)
+        fn.emit(Ops.JUMP_IF_TRUE, start)
         end = fn.here()
         for pc in loop.break_jumps:
             fn.patch(pc, end)
@@ -387,15 +387,15 @@ class Compiler:
         jump_end = None
         if node.test is not None:
             self._expr(fn, node.test)
-            jump_end = fn.emit(Op.JUMP_IF_FALSE)
+            jump_end = fn.emit(Ops.JUMP_IF_FALSE)
         self._stmt(fn, node.body)
         update_pc = fn.here()
         for pc in loop.continue_jumps:
             fn.patch(pc, update_pc)
         if node.update is not None:
             self._expr(fn, node.update)
-            fn.emit(Op.POP)
-        fn.emit(Op.JUMP, start)
+            fn.emit(Ops.POP)
+        fn.emit(Ops.JUMP, start)
         end = fn.here()
         if jump_end is not None:
             fn.patch(jump_end, end)
@@ -405,22 +405,22 @@ class Compiler:
 
     def _for_in(self, fn: _FunctionCompiler, node: ast.ForIn) -> None:
         self._expr(fn, node.obj)
-        fn.emit(Op.FOR_IN_PREP)
+        fn.emit(Ops.FOR_IN_PREP)
         loop = _LoopContext(fn.try_depth)
         fn.loops.append(loop)
         start = fn.here()
-        next_pc = fn.emit(Op.FOR_IN_NEXT)
+        next_pc = fn.emit(Ops.FOR_IN_NEXT)
         self._store_identifier(fn, node.var_name, node.position)
-        fn.emit(Op.POP)
+        fn.emit(Ops.POP)
         self._stmt(fn, node.body)
         for pc in loop.continue_jumps:
             fn.patch(pc, start)
-        fn.emit(Op.JUMP, start)
+        fn.emit(Ops.JUMP, start)
         done = fn.here()
         fn.patch(next_pc, done)
         for pc in loop.break_jumps:
             fn.patch(pc, done)
-        fn.emit(Op.POP)  # drop the iterator
+        fn.emit(Ops.POP)  # drop the iterator
         fn.loops.pop()
 
     def _try(self, fn: _FunctionCompiler, node: ast.Try) -> None:
@@ -436,29 +436,29 @@ class Compiler:
         if has_finally:
             fn.finally_depth += 1
         fn.try_depth += 1
-        setup_pc = fn.emit(Op.SETUP_TRY)
+        setup_pc = fn.emit(Ops.SETUP_TRY)
         for statement in node.block.statements:
             self._stmt(fn, statement)
-        fn.emit(Op.POP_TRY)
+        fn.emit(Ops.POP_TRY)
         fn.try_depth -= 1
         if has_finally:
             for statement in node.finally_block.statements:  # type: ignore[union-attr]
                 self._stmt(fn, statement)
-        jump_end = fn.emit(Op.JUMP)
+        jump_end = fn.emit(Ops.JUMP)
         fn.patch(setup_pc, fn.here())
         # Exception path: the thrown value is on the stack here.
         if node.catch_block is not None:
             where, a, b = fn.scope.resolve(node.catch_param or "")
             if where == "local":
-                fn.emit(Op.STORE_LOCAL, a)
+                fn.emit(Ops.STORE_LOCAL, a)
             elif where == "env":
-                fn.emit(Op.STORE_ENV, a, b)
+                fn.emit(Ops.STORE_ENV, a, b)
             else:
                 slot = fn.feedback(
-                    SiteKind.GLOBAL_STORE, node.position, node.catch_param or "?"
+                    SiteKinds.GLOBAL_STORE, node.position, node.catch_param or "?"
                 )
-                fn.emit(Op.STORE_GLOBAL, fn.name(node.catch_param or "?"), slot)
-                fn.emit(Op.POP)
+                fn.emit(Ops.STORE_GLOBAL, fn.name(node.catch_param or "?"), slot)
+                fn.emit(Ops.POP)
             for statement in node.catch_block.statements:
                 self._stmt(fn, statement)
             if has_finally:
@@ -469,7 +469,7 @@ class Compiler:
             # that is still sitting on the stack.
             for statement in node.finally_block.statements:  # type: ignore[union-attr]
                 self._stmt(fn, statement)
-            fn.emit(Op.THROW)
+            fn.emit(Ops.THROW)
         fn.patch(jump_end, fn.here())
         if has_finally:
             fn.finally_depth -= 1
@@ -477,7 +477,7 @@ class Compiler:
     def _switch(self, fn: _FunctionCompiler, node: ast.Switch) -> None:
         temp = fn.scope.new_temp()
         self._expr(fn, node.discriminant)
-        fn.emit(Op.STORE_LOCAL, temp)
+        fn.emit(Ops.STORE_LOCAL, temp)
         loop = _LoopContext(fn.try_depth)  # reuse break patching machinery
         fn.loops.append(loop)
         case_jumps: list[tuple[int, int]] = []  # (jump pc, case index)
@@ -486,11 +486,11 @@ class Compiler:
             if case.test is None:
                 default_index = index
                 continue
-            fn.emit(Op.LOAD_LOCAL, temp)
+            fn.emit(Ops.LOAD_LOCAL, temp)
             self._expr(fn, case.test)
-            fn.emit(Op.BINARY, int(BinOp.STRICT_EQ))
-            case_jumps.append((fn.emit(Op.JUMP_IF_TRUE), index))
-        default_jump = fn.emit(Op.JUMP)
+            fn.emit(Ops.BINARY, int(BinOps.STRICT_EQ))
+            case_jumps.append((fn.emit(Ops.JUMP_IF_TRUE), index))
+        default_jump = fn.emit(Ops.JUMP)
         case_starts: dict[int, int] = {}
         for index, case in enumerate(node.cases):
             case_starts[index] = fn.here()
@@ -517,101 +517,101 @@ class Compiler:
         method(fn, node)
 
     def _expr_NumberLiteral(self, fn: _FunctionCompiler, node: ast.NumberLiteral) -> None:
-        fn.emit(Op.LOAD_CONST, fn.const(node.value))
+        fn.emit(Ops.LOAD_CONST, fn.const(node.value))
 
     def _expr_StringLiteral(self, fn: _FunctionCompiler, node: ast.StringLiteral) -> None:
-        fn.emit(Op.LOAD_CONST, fn.const(node.value))
+        fn.emit(Ops.LOAD_CONST, fn.const(node.value))
 
     def _expr_BooleanLiteral(self, fn: _FunctionCompiler, node: ast.BooleanLiteral) -> None:
-        fn.emit(Op.LOAD_TRUE if node.value else Op.LOAD_FALSE)
+        fn.emit(Ops.LOAD_TRUE if node.value else Ops.LOAD_FALSE)
 
     def _expr_NullLiteral(self, fn: _FunctionCompiler, node: ast.NullLiteral) -> None:
-        fn.emit(Op.LOAD_NULL)
+        fn.emit(Ops.LOAD_NULL)
 
     def _expr_UndefinedLiteral(self, fn: _FunctionCompiler, node: ast.UndefinedLiteral) -> None:
-        fn.emit(Op.LOAD_UNDEFINED)
+        fn.emit(Ops.LOAD_UNDEFINED)
 
     def _expr_ThisExpression(self, fn: _FunctionCompiler, node: ast.ThisExpression) -> None:
-        fn.emit(Op.LOAD_THIS)
+        fn.emit(Ops.LOAD_THIS)
 
     def _expr_Identifier(self, fn: _FunctionCompiler, node: ast.Identifier) -> None:
         where, a, b = fn.scope.resolve(node.name)
         if where == "local":
-            fn.emit(Op.LOAD_LOCAL, a)
+            fn.emit(Ops.LOAD_LOCAL, a)
         elif where == "env":
-            fn.emit(Op.LOAD_ENV, a, b)
+            fn.emit(Ops.LOAD_ENV, a, b)
         else:
-            slot = fn.feedback(SiteKind.GLOBAL_LOAD, node.position, node.name)
-            fn.emit(Op.LOAD_GLOBAL, fn.name(node.name), slot)
+            slot = fn.feedback(SiteKinds.GLOBAL_LOAD, node.position, node.name)
+            fn.emit(Ops.LOAD_GLOBAL, fn.name(node.name), slot)
 
     def _expr_ArrayLiteral(self, fn: _FunctionCompiler, node: ast.ArrayLiteral) -> None:
         for element in node.elements:
             self._expr(fn, element)
-        fn.emit(Op.MAKE_ARRAY, len(node.elements))
+        fn.emit(Ops.MAKE_ARRAY, len(node.elements))
 
     def _expr_ObjectLiteral(self, fn: _FunctionCompiler, node: ast.ObjectLiteral) -> None:
-        fn.emit(Op.MAKE_OBJECT)
+        fn.emit(Ops.MAKE_OBJECT)
         for prop in node.properties:
             index = element_index(prop.key)
             if index is not None:
                 # Numeric keys are element properties (JS semantics), so
                 # they go through the keyed-store path, not the layout.
-                fn.emit(Op.DUP)
-                fn.emit(Op.LOAD_CONST, fn.const(float(index)))
+                fn.emit(Ops.DUP)
+                fn.emit(Ops.LOAD_CONST, fn.const(float(index)))
                 self._expr(fn, prop.value)
-                slot = fn.feedback(SiteKind.KEYED_STORE, prop.position, None)
-                fn.emit(Op.SET_INDEX, slot)
-                fn.emit(Op.POP)
+                slot = fn.feedback(SiteKinds.KEYED_STORE, prop.position, None)
+                fn.emit(Ops.SET_INDEX, slot)
+                fn.emit(Ops.POP)
                 continue
             self._expr(fn, prop.value)
-            slot = fn.feedback(SiteKind.NAMED_STORE, prop.position, prop.key)
-            fn.emit(Op.OBJ_LIT_PROP, fn.name(prop.key), slot)
+            slot = fn.feedback(SiteKinds.NAMED_STORE, prop.position, prop.key)
+            fn.emit(Ops.OBJ_LIT_PROP, fn.name(prop.key), slot)
 
     def _expr_FunctionExpression(self, fn: _FunctionCompiler, node: ast.FunctionExpression) -> None:
         code = self._compile_function(fn, node.name, node.params, node.body, node.position)
-        fn.emit(Op.MAKE_FUNCTION, fn.const(code))
+        fn.emit(Ops.MAKE_FUNCTION, fn.const(code))
 
     def _expr_MemberAccess(self, fn: _FunctionCompiler, node: ast.MemberAccess) -> None:
         self._expr(fn, node.obj)
-        slot = fn.feedback(SiteKind.NAMED_LOAD, node.position, node.prop)
-        fn.emit(Op.GET_PROP, fn.name(node.prop), slot)
+        slot = fn.feedback(SiteKinds.NAMED_LOAD, node.position, node.prop)
+        fn.emit(Ops.GET_PROP, fn.name(node.prop), slot)
 
     def _expr_IndexAccess(self, fn: _FunctionCompiler, node: ast.IndexAccess) -> None:
         self._expr(fn, node.obj)
         self._expr(fn, node.index)
-        slot = fn.feedback(SiteKind.KEYED_LOAD, node.position, None)
-        fn.emit(Op.GET_INDEX, slot)
+        slot = fn.feedback(SiteKinds.KEYED_LOAD, node.position, None)
+        fn.emit(Ops.GET_INDEX, slot)
 
     def _expr_Call(self, fn: _FunctionCompiler, node: ast.Call) -> None:
         callee = node.callee
         if isinstance(callee, ast.MemberAccess):
             self._expr(fn, callee.obj)
-            fn.emit(Op.DUP)
-            slot = fn.feedback(SiteKind.NAMED_LOAD, callee.position, callee.prop)
-            fn.emit(Op.GET_PROP, fn.name(callee.prop), slot)
+            fn.emit(Ops.DUP)
+            slot = fn.feedback(SiteKinds.NAMED_LOAD, callee.position, callee.prop)
+            fn.emit(Ops.GET_PROP, fn.name(callee.prop), slot)
             for arg in node.args:
                 self._expr(fn, arg)
-            fn.emit(Op.CALL_METHOD, len(node.args))
+            fn.emit(Ops.CALL_METHOD, len(node.args))
         elif isinstance(callee, ast.IndexAccess):
             self._expr(fn, callee.obj)
-            fn.emit(Op.DUP)
+            fn.emit(Ops.DUP)
             self._expr(fn, callee.index)
-            slot = fn.feedback(SiteKind.KEYED_LOAD, callee.position, None)
-            fn.emit(Op.GET_INDEX, slot)
+            slot = fn.feedback(SiteKinds.KEYED_LOAD, callee.position, None)
+            fn.emit(Ops.GET_INDEX, slot)
             for arg in node.args:
                 self._expr(fn, arg)
-            fn.emit(Op.CALL_METHOD, len(node.args))
+            fn.emit(Ops.CALL_METHOD, len(node.args))
         else:
             self._expr(fn, callee)
             for arg in node.args:
                 self._expr(fn, arg)
-            fn.emit(Op.CALL, len(node.args))
+            fn.emit(Ops.CALL, len(node.args))
 
     def _expr_New(self, fn: _FunctionCompiler, node: ast.New) -> None:
         self._expr(fn, node.callee)
         for arg in node.args:
             self._expr(fn, arg)
-        fn.emit(Op.NEW, len(node.args))
+        fn.emit(Ops.NEW, len(node.args))
 
     def _expr_Assignment(self, fn: _FunctionCompiler, node: ast.Assignment) -> None:
         target = node.target
@@ -622,14 +622,14 @@ class Compiler:
             elif isinstance(target, ast.MemberAccess):
                 self._expr(fn, target.obj)
                 self._expr(fn, node.value)
-                slot = fn.feedback(SiteKind.NAMED_STORE, target.position, target.prop)
-                fn.emit(Op.SET_PROP, fn.name(target.prop), slot)
+                slot = fn.feedback(SiteKinds.NAMED_STORE, target.position, target.prop)
+                fn.emit(Ops.SET_PROP, fn.name(target.prop), slot)
             elif isinstance(target, ast.IndexAccess):
                 self._expr(fn, target.obj)
                 self._expr(fn, target.index)
                 self._expr(fn, node.value)
-                slot = fn.feedback(SiteKind.KEYED_STORE, target.position, None)
-                fn.emit(Op.SET_INDEX, slot)
+                slot = fn.feedback(SiteKinds.KEYED_STORE, target.position, None)
+                fn.emit(Ops.SET_INDEX, slot)
             else:  # pragma: no cover - parser validates targets
                 raise JSLCompileError("invalid assignment target", node.position)
             return
@@ -641,133 +641,133 @@ class Compiler:
         if isinstance(target, ast.Identifier):
             self._expr_Identifier(fn, target)
             self._expr(fn, node.value)
-            fn.emit(Op.BINARY, binop)
+            fn.emit(Ops.BINARY, binop)
             self._store_identifier(fn, target.name, target.position)
         elif isinstance(target, ast.MemberAccess):
             temp_obj = fn.scope.new_temp()
             self._expr(fn, target.obj)
-            fn.emit(Op.STORE_LOCAL, temp_obj)
-            fn.emit(Op.LOAD_LOCAL, temp_obj)
-            fn.emit(Op.LOAD_LOCAL, temp_obj)
-            load_slot = fn.feedback(SiteKind.NAMED_LOAD, target.position, target.prop)
-            fn.emit(Op.GET_PROP, fn.name(target.prop), load_slot)
+            fn.emit(Ops.STORE_LOCAL, temp_obj)
+            fn.emit(Ops.LOAD_LOCAL, temp_obj)
+            fn.emit(Ops.LOAD_LOCAL, temp_obj)
+            load_slot = fn.feedback(SiteKinds.NAMED_LOAD, target.position, target.prop)
+            fn.emit(Ops.GET_PROP, fn.name(target.prop), load_slot)
             self._expr(fn, node.value)
-            fn.emit(Op.BINARY, binop)
-            store_slot = fn.feedback(SiteKind.NAMED_STORE, target.position, target.prop)
-            fn.emit(Op.SET_PROP, fn.name(target.prop), store_slot)
+            fn.emit(Ops.BINARY, binop)
+            store_slot = fn.feedback(SiteKinds.NAMED_STORE, target.position, target.prop)
+            fn.emit(Ops.SET_PROP, fn.name(target.prop), store_slot)
         elif isinstance(target, ast.IndexAccess):
             temp_obj = fn.scope.new_temp()
             temp_idx = fn.scope.new_temp()
             self._expr(fn, target.obj)
-            fn.emit(Op.STORE_LOCAL, temp_obj)
+            fn.emit(Ops.STORE_LOCAL, temp_obj)
             self._expr(fn, target.index)
-            fn.emit(Op.STORE_LOCAL, temp_idx)
-            fn.emit(Op.LOAD_LOCAL, temp_obj)
-            fn.emit(Op.LOAD_LOCAL, temp_idx)
-            fn.emit(Op.LOAD_LOCAL, temp_obj)
-            fn.emit(Op.LOAD_LOCAL, temp_idx)
-            load_slot = fn.feedback(SiteKind.KEYED_LOAD, target.position, None)
-            fn.emit(Op.GET_INDEX, load_slot)
+            fn.emit(Ops.STORE_LOCAL, temp_idx)
+            fn.emit(Ops.LOAD_LOCAL, temp_obj)
+            fn.emit(Ops.LOAD_LOCAL, temp_idx)
+            fn.emit(Ops.LOAD_LOCAL, temp_obj)
+            fn.emit(Ops.LOAD_LOCAL, temp_idx)
+            load_slot = fn.feedback(SiteKinds.KEYED_LOAD, target.position, None)
+            fn.emit(Ops.GET_INDEX, load_slot)
             self._expr(fn, node.value)
-            fn.emit(Op.BINARY, binop)
-            store_slot = fn.feedback(SiteKind.KEYED_STORE, target.position, None)
-            fn.emit(Op.SET_INDEX, store_slot)
+            fn.emit(Ops.BINARY, binop)
+            store_slot = fn.feedback(SiteKinds.KEYED_STORE, target.position, None)
+            fn.emit(Ops.SET_INDEX, store_slot)
         else:  # pragma: no cover
             raise JSLCompileError("invalid assignment target", node.position)
 
     def _expr_Binary(self, fn: _FunctionCompiler, node: ast.Binary) -> None:
         self._expr(fn, node.left)
         self._expr(fn, node.right)
-        fn.emit(Op.BINARY, int(BINOP_BY_SPELLING[node.op]))
+        fn.emit(Ops.BINARY, int(BINOP_BY_SPELLING[node.op]))
 
     def _expr_Logical(self, fn: _FunctionCompiler, node: ast.Logical) -> None:
         self._expr(fn, node.left)
         if node.op == "&&":
-            jump = fn.emit(Op.JUMP_IF_FALSE_KEEP)
+            jump = fn.emit(Ops.JUMP_IF_FALSE_KEEP)
         else:
-            jump = fn.emit(Op.JUMP_IF_TRUE_KEEP)
-        fn.emit(Op.POP)
+            jump = fn.emit(Ops.JUMP_IF_TRUE_KEEP)
+        fn.emit(Ops.POP)
         self._expr(fn, node.right)
         fn.patch(jump, fn.here())
 
     def _expr_Unary(self, fn: _FunctionCompiler, node: ast.Unary) -> None:
         self._expr(fn, node.operand)
-        fn.emit(Op.UNARY, int(UNOP_BY_SPELLING[node.op]))
+        fn.emit(Ops.UNARY, int(UNOP_BY_SPELLING[node.op]))
 
     def _expr_Update(self, fn: _FunctionCompiler, node: ast.Update) -> None:
         operand = node.operand
-        binop = int(BinOp.ADD if node.op == "++" else BinOp.SUB)
+        binop = int(BinOps.ADD if node.op == "++" else BinOps.SUB)
         one = fn.const(1.0)
         if isinstance(operand, ast.Identifier):
             if node.prefix:
                 self._expr_Identifier(fn, operand)
-                fn.emit(Op.LOAD_CONST, one)
-                fn.emit(Op.BINARY, binop)
+                fn.emit(Ops.LOAD_CONST, one)
+                fn.emit(Ops.BINARY, binop)
                 self._store_identifier(fn, operand.name, operand.position)
             else:
                 temp_old = fn.scope.new_temp()
                 self._expr_Identifier(fn, operand)
-                fn.emit(Op.UNARY, int(UnOpPLUS))
-                fn.emit(Op.STORE_LOCAL, temp_old)
-                fn.emit(Op.LOAD_LOCAL, temp_old)
-                fn.emit(Op.LOAD_CONST, one)
-                fn.emit(Op.BINARY, binop)
+                fn.emit(Ops.UNARY, int(UnOps.PLUS))
+                fn.emit(Ops.STORE_LOCAL, temp_old)
+                fn.emit(Ops.LOAD_LOCAL, temp_old)
+                fn.emit(Ops.LOAD_CONST, one)
+                fn.emit(Ops.BINARY, binop)
                 self._store_identifier(fn, operand.name, operand.position)
-                fn.emit(Op.POP)
-                fn.emit(Op.LOAD_LOCAL, temp_old)
+                fn.emit(Ops.POP)
+                fn.emit(Ops.LOAD_LOCAL, temp_old)
         elif isinstance(operand, ast.MemberAccess):
             temp_obj = fn.scope.new_temp()
             temp_old = fn.scope.new_temp()
             self._expr(fn, operand.obj)
-            fn.emit(Op.STORE_LOCAL, temp_obj)
-            fn.emit(Op.LOAD_LOCAL, temp_obj)
-            load_slot = fn.feedback(SiteKind.NAMED_LOAD, operand.position, operand.prop)
-            fn.emit(Op.GET_PROP, fn.name(operand.prop), load_slot)
-            fn.emit(Op.UNARY, int(UnOpPLUS))
-            fn.emit(Op.STORE_LOCAL, temp_old)
-            fn.emit(Op.LOAD_LOCAL, temp_obj)
-            fn.emit(Op.LOAD_LOCAL, temp_old)
-            fn.emit(Op.LOAD_CONST, one)
-            fn.emit(Op.BINARY, binop)
-            store_slot = fn.feedback(SiteKind.NAMED_STORE, operand.position, operand.prop)
-            fn.emit(Op.SET_PROP, fn.name(operand.prop), store_slot)
+            fn.emit(Ops.STORE_LOCAL, temp_obj)
+            fn.emit(Ops.LOAD_LOCAL, temp_obj)
+            load_slot = fn.feedback(SiteKinds.NAMED_LOAD, operand.position, operand.prop)
+            fn.emit(Ops.GET_PROP, fn.name(operand.prop), load_slot)
+            fn.emit(Ops.UNARY, int(UnOps.PLUS))
+            fn.emit(Ops.STORE_LOCAL, temp_old)
+            fn.emit(Ops.LOAD_LOCAL, temp_obj)
+            fn.emit(Ops.LOAD_LOCAL, temp_old)
+            fn.emit(Ops.LOAD_CONST, one)
+            fn.emit(Ops.BINARY, binop)
+            store_slot = fn.feedback(SiteKinds.NAMED_STORE, operand.position, operand.prop)
+            fn.emit(Ops.SET_PROP, fn.name(operand.prop), store_slot)
             if node.prefix:
                 pass  # new value already on the stack
             else:
-                fn.emit(Op.POP)
-                fn.emit(Op.LOAD_LOCAL, temp_old)
+                fn.emit(Ops.POP)
+                fn.emit(Ops.LOAD_LOCAL, temp_old)
         elif isinstance(operand, ast.IndexAccess):
             temp_obj = fn.scope.new_temp()
             temp_idx = fn.scope.new_temp()
             temp_old = fn.scope.new_temp()
             self._expr(fn, operand.obj)
-            fn.emit(Op.STORE_LOCAL, temp_obj)
+            fn.emit(Ops.STORE_LOCAL, temp_obj)
             self._expr(fn, operand.index)
-            fn.emit(Op.STORE_LOCAL, temp_idx)
-            fn.emit(Op.LOAD_LOCAL, temp_obj)
-            fn.emit(Op.LOAD_LOCAL, temp_idx)
-            load_slot = fn.feedback(SiteKind.KEYED_LOAD, operand.position, None)
-            fn.emit(Op.GET_INDEX, load_slot)
-            fn.emit(Op.UNARY, int(UnOpPLUS))
-            fn.emit(Op.STORE_LOCAL, temp_old)
-            fn.emit(Op.LOAD_LOCAL, temp_obj)
-            fn.emit(Op.LOAD_LOCAL, temp_idx)
-            fn.emit(Op.LOAD_LOCAL, temp_old)
-            fn.emit(Op.LOAD_CONST, one)
-            fn.emit(Op.BINARY, binop)
-            store_slot = fn.feedback(SiteKind.KEYED_STORE, operand.position, None)
-            fn.emit(Op.SET_INDEX, store_slot)
+            fn.emit(Ops.STORE_LOCAL, temp_idx)
+            fn.emit(Ops.LOAD_LOCAL, temp_obj)
+            fn.emit(Ops.LOAD_LOCAL, temp_idx)
+            load_slot = fn.feedback(SiteKinds.KEYED_LOAD, operand.position, None)
+            fn.emit(Ops.GET_INDEX, load_slot)
+            fn.emit(Ops.UNARY, int(UnOps.PLUS))
+            fn.emit(Ops.STORE_LOCAL, temp_old)
+            fn.emit(Ops.LOAD_LOCAL, temp_obj)
+            fn.emit(Ops.LOAD_LOCAL, temp_idx)
+            fn.emit(Ops.LOAD_LOCAL, temp_old)
+            fn.emit(Ops.LOAD_CONST, one)
+            fn.emit(Ops.BINARY, binop)
+            store_slot = fn.feedback(SiteKinds.KEYED_STORE, operand.position, None)
+            fn.emit(Ops.SET_INDEX, store_slot)
             if not node.prefix:
-                fn.emit(Op.POP)
-                fn.emit(Op.LOAD_LOCAL, temp_old)
+                fn.emit(Ops.POP)
+                fn.emit(Ops.LOAD_LOCAL, temp_old)
         else:  # pragma: no cover
             raise JSLCompileError("invalid update target", node.position)
 
     def _expr_Conditional(self, fn: _FunctionCompiler, node: ast.Conditional) -> None:
         self._expr(fn, node.test)
-        jump_else = fn.emit(Op.JUMP_IF_FALSE)
+        jump_else = fn.emit(Ops.JUMP_IF_FALSE)
         self._expr(fn, node.consequent)
-        jump_end = fn.emit(Op.JUMP)
+        jump_end = fn.emit(Ops.JUMP)
         fn.patch(jump_else, fn.here())
         self._expr(fn, node.alternate)
         fn.patch(jump_end, fn.here())
@@ -776,12 +776,12 @@ class Compiler:
         target = node.target
         if isinstance(target, ast.MemberAccess):
             self._expr(fn, target.obj)
-            fn.emit(Op.DELETE_PROP, fn.name(target.prop))
+            fn.emit(Ops.DELETE_PROP, fn.name(target.prop))
         else:
             assert isinstance(target, ast.IndexAccess)
             self._expr(fn, target.obj)
             self._expr(fn, target.index)
-            fn.emit(Op.DELETE_INDEX)
+            fn.emit(Ops.DELETE_INDEX)
 
     def _expr_TypeOf(self, fn: _FunctionCompiler, node: ast.TypeOf) -> None:
         operand = node.operand
@@ -789,24 +789,18 @@ class Compiler:
             where, a, b = fn.scope.resolve(operand.name)
             if where == "global":
                 # `typeof undeclared` must not throw.
-                slot = fn.feedback(SiteKind.GLOBAL_LOAD, operand.position, operand.name)
-                fn.emit(Op.LOAD_GLOBAL_SOFT, fn.name(operand.name), slot)
-                fn.emit(Op.TYPEOF)
+                slot = fn.feedback(SiteKinds.GLOBAL_LOAD, operand.position, operand.name)
+                fn.emit(Ops.LOAD_GLOBAL_SOFT, fn.name(operand.name), slot)
+                fn.emit(Ops.TYPEOF)
                 return
         self._expr(fn, operand)
-        fn.emit(Op.TYPEOF)
+        fn.emit(Ops.TYPEOF)
 
     def _expr_Sequence(self, fn: _FunctionCompiler, node: ast.Sequence) -> None:
         for index, expression in enumerate(node.expressions):
             self._expr(fn, expression)
             if index != len(node.expressions) - 1:
-                fn.emit(Op.POP)
-
-
-# Imported late to keep the operator tables near their uses.
-from repro.bytecode.opcodes import UnOp as _UnOp  # noqa: E402
-
-UnOpPLUS = _UnOp.PLUS
+                fn.emit(Ops.POP)
 
 
 class _Declarations:

@@ -12,6 +12,7 @@ function's :class:`~repro.ic.icvector.ICVector`.
 from __future__ import annotations
 
 import enum
+from types import SimpleNamespace
 
 
 class Op(enum.IntEnum):
@@ -146,6 +147,13 @@ class Op(enum.IntEnum):
     SET_PROP_SLOT = 99  # direct-offset overwrite store, else deopt
 
 
+#: The members of :class:`Op` as plain attributes (``Ops.GET_PROP is
+#: Op.GET_PROP``), for code that runs per instruction: on CPython 3.11 a
+#: lookup on the enum class itself runs the enum metaclass's attribute
+#: hook, ~10x a plain attribute read (docs/INTERNALS.md §8).
+Ops = SimpleNamespace(**Op.__members__)
+
+
 class BinOp(enum.IntEnum):
     """Binary operators for the BINARY opcode."""
 
@@ -172,6 +180,10 @@ class BinOp(enum.IntEnum):
     INSTANCEOF = 21
 
 
+#: The members of :class:`BinOp` as plain attributes (see :data:`Ops`).
+BinOps = SimpleNamespace(**BinOp.__members__)
+
+
 class UnOp(enum.IntEnum):
     """Unary operators for the UNARY opcode."""
 
@@ -179,6 +191,10 @@ class UnOp(enum.IntEnum):
     PLUS = 2
     NOT = 3
     BIT_NOT = 4
+
+
+#: The members of :class:`UnOp` as plain attributes (see :data:`Ops`).
+UnOps = SimpleNamespace(**UnOp.__members__)
 
 
 #: jsl spelling -> BinOp, used by the compiler.

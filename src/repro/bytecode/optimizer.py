@@ -5,9 +5,9 @@ determinism survive the code cache).  Three classic passes:
 
 * **constant folding** — ``LOAD_CONST a; LOAD_CONST b; BINARY op`` (and the
   unary form) collapse to a single ``LOAD_CONST`` when ``op`` is pure and
-  the operands are literals.  Folding replicates the VM's exact semantics
-  via the shared :mod:`repro.runtime.values` coercions; a property test
-  (tests/test_optimizer.py) cross-checks folded results against
+  the operands are literals.  Folding calls the functions the VM executes,
+  from the operator table of :mod:`repro.runtime.operators`; a property
+  test (tests/test_optimizer.py) cross-checks folded results against
   unoptimized execution.
 * **jump threading** — a jump whose target is an unconditional ``JUMP``
   lands directly on the final destination (chains collapse transitively).
@@ -32,18 +32,8 @@ touched (no fused window contains an IC site).
 from __future__ import annotations
 
 from repro.bytecode.code import CodeObject
-from repro.bytecode.opcodes import BinOp, Op, UnOp
-from repro.runtime.values import (
-    loose_equals,
-    number_divide,
-    number_remainder,
-    strict_equals,
-    to_boolean,
-    to_int32,
-    to_number,
-    to_string,
-    to_uint32,
-)
+from repro.bytecode.opcodes import BinOp, BinOps, Op, Ops
+from repro.runtime.operators import BINARY_OPERATORS, UNARY_OPERATORS
 
 #: Opcodes that push a literal; value derivation below.
 _CONST_PUSH_OPS = {
@@ -86,109 +76,18 @@ _FUSABLE_CMP_BINOPS = {
     int(BinOp.GE),
 }
 
-#: Binary operators safe to fold (pure; no runtime or object semantics).
-_FOLDABLE_BINOPS = {
-    BinOp.ADD,
-    BinOp.SUB,
-    BinOp.MUL,
-    BinOp.DIV,
-    BinOp.MOD,
-    BinOp.EQ,
-    BinOp.NEQ,
-    BinOp.STRICT_EQ,
-    BinOp.STRICT_NEQ,
-    BinOp.LT,
-    BinOp.GT,
-    BinOp.LE,
-    BinOp.GE,
-    BinOp.BIT_AND,
-    BinOp.BIT_OR,
-    BinOp.BIT_XOR,
-    BinOp.SHL,
-    BinOp.SHR,
-    BinOp.USHR,
-}
-
-
-def fold_binary(op: int, left: object, right: object) -> object:
-    """Pure-subset mirror of the VM's BINARY semantics (see
-    ``VM._binary``); only called for :data:`_FOLDABLE_BINOPS`."""
-    if op == BinOp.ADD:
-        if isinstance(left, str) or isinstance(right, str):
-            return to_string(left) + to_string(right)
-        return to_number(left) + to_number(right)
-    if op == BinOp.SUB:
-        return to_number(left) - to_number(right)
-    if op == BinOp.MUL:
-        return to_number(left) * to_number(right)
-    if op == BinOp.DIV:
-        return number_divide(to_number(left), to_number(right))
-    if op == BinOp.MOD:
-        return number_remainder(to_number(left), to_number(right))
-    if op == BinOp.EQ:
-        return loose_equals(left, right)
-    if op == BinOp.NEQ:
-        return not loose_equals(left, right)
-    if op == BinOp.STRICT_EQ:
-        return strict_equals(left, right)
-    if op == BinOp.STRICT_NEQ:
-        return not strict_equals(left, right)
-    if op in (BinOp.LT, BinOp.GT, BinOp.LE, BinOp.GE):
-        if isinstance(left, str) and isinstance(right, str):
-            a, b = left, right
-        else:
-            a, b = to_number(left), to_number(right)
-            if a != a or b != b:
-                return False
-        if op == BinOp.LT:
-            return a < b
-        if op == BinOp.GT:
-            return a > b
-        if op == BinOp.LE:
-            return a <= b
-        return a >= b
-    if op == BinOp.BIT_AND:
-        return float(to_int32(left) & to_int32(right))
-    if op == BinOp.BIT_OR:
-        return float(to_int32(left) | to_int32(right))
-    if op == BinOp.BIT_XOR:
-        return float(to_int32(left) ^ to_int32(right))
-    if op == BinOp.SHL:
-        shifted = (to_int32(left) << (to_uint32(right) & 31)) & 0xFFFFFFFF
-        if shifted >= 0x80000000:
-            shifted -= 0x100000000
-        return float(shifted)
-    if op == BinOp.SHR:
-        return float(to_int32(left) >> (to_uint32(right) & 31))
-    if op == BinOp.USHR:
-        return float(to_uint32(left) >> (to_uint32(right) & 31))
-    raise AssertionError(f"unfoldable op {op}")  # pragma: no cover
-
-
-def fold_unary(op: int, operand: object) -> object:
-    """Mirror of ``VM._unary``."""
-    if op == UnOp.NEG:
-        return -to_number(operand)
-    if op == UnOp.PLUS:
-        return to_number(operand)
-    if op == UnOp.NOT:
-        return not to_boolean(operand)
-    if op == UnOp.BIT_NOT:
-        return float(~to_int32(operand))
-    raise AssertionError(f"unfoldable unary {op}")  # pragma: no cover
-
 
 def _const_value(instruction: tuple, constants: list) -> object | None:
     """The literal value pushed by a const-push instruction (or sentinel)."""
     op, a, _ = instruction
-    if op == Op.LOAD_CONST:
+    if op == Ops.LOAD_CONST:
         value = constants[a]
         if isinstance(value, (float, str)) and not isinstance(value, bool):
             return value
         return _NOT_CONST
-    if op == Op.LOAD_TRUE:
+    if op == Ops.LOAD_TRUE:
         return True
-    if op == Op.LOAD_FALSE:
+    if op == Ops.LOAD_FALSE:
         return False
     return _NOT_CONST
 
@@ -262,11 +161,11 @@ def _fold_constants(code: CodeObject, result: OptimizeResult) -> bool:
 
     def intern_const(value: object) -> tuple[int, int, int]:
         if value is True:
-            return (int(Op.LOAD_TRUE), 0, 0)
+            return (int(Ops.LOAD_TRUE), 0, 0)
         if value is False:
-            return (int(Op.LOAD_FALSE), 0, 0)
+            return (int(Ops.LOAD_FALSE), 0, 0)
         constants.append(value)
-        return (int(Op.LOAD_CONST), len(constants) - 1, 0)
+        return (int(Ops.LOAD_CONST), len(constants) - 1, 0)
 
     index = 0
     count = len(instructions)
@@ -275,20 +174,21 @@ def _fold_constants(code: CodeObject, result: OptimizeResult) -> bool:
         instruction = instructions[index]
         op = instruction[0]
 
-        # Binary fold: [const, const, BINARY] with no jump landing inside.
+        # Binary fold: [const, const, BINARY] with no jump landing inside,
+        # of a pure operator (``in`` and ``instanceof`` have no function).
         if (
             op in _CONST_PUSH_OPS
             and index + 2 < count
             and instructions[index + 1][0] in _CONST_PUSH_OPS
-            and instructions[index + 2][0] == Op.BINARY
-            and instructions[index + 2][1] in _FOLDABLE_BINOPS
+            and instructions[index + 2][0] == Ops.BINARY
+            and BINARY_OPERATORS[instructions[index + 2][1]] is not None
             and (index + 1) not in targets
             and (index + 2) not in targets
         ):
             left = _const_value(instruction, constants)
             right = _const_value(instructions[index + 1], constants)
             if left is not _NOT_CONST and right is not _NOT_CONST:
-                value = fold_binary(instructions[index + 2][1], left, right)
+                value = BINARY_OPERATORS[instructions[index + 2][1]](left, right)
                 new_instructions.append(intern_const(value))
                 new_positions.append(code.positions[index])
                 pc_map.extend([len(new_instructions) - 1] * 2)
@@ -301,12 +201,12 @@ def _fold_constants(code: CodeObject, result: OptimizeResult) -> bool:
         if (
             op in _CONST_PUSH_OPS
             and index + 1 < count
-            and instructions[index + 1][0] == Op.UNARY
+            and instructions[index + 1][0] == Ops.UNARY
             and (index + 1) not in targets
         ):
             operand = _const_value(instruction, constants)
             if operand is not _NOT_CONST:
-                value = fold_unary(instructions[index + 1][1], operand)
+                value = UNARY_OPERATORS[instructions[index + 1][1]](operand)
                 new_instructions.append(intern_const(value))
                 new_positions.append(code.positions[index])
                 pc_map.append(len(new_instructions) - 1)
@@ -337,7 +237,7 @@ def _thread_jumps(code: CodeObject, result: OptimizeResult) -> None:
     def final_target(target: int, hops: int = 0) -> int:
         if hops > len(instructions):
             return target  # defensive: cycles cannot happen, but cap anyway
-        if target < len(instructions) and instructions[target][0] == Op.JUMP:
+        if target < len(instructions) and instructions[target][0] == Ops.JUMP:
             return final_target(instructions[target][1], hops + 1)
         return target
 
@@ -384,20 +284,20 @@ def _fuse_superinstructions(code: CodeObject, result: OptimizeResult) -> None:
         op, a, b = instructions[index]
 
         if (
-            op == Op.LOAD_LOCAL
+            op == Ops.LOAD_LOCAL
             and index + 5 < count
-            and instructions[index + 1][0] == Op.LOAD_CONST
-            and instructions[index + 2][0] == Op.BINARY
-            and instructions[index + 2][1] == BinOp.ADD
-            and instructions[index + 3][0] == Op.DUP
-            and instructions[index + 4][0] == Op.STORE_LOCAL
+            and instructions[index + 1][0] == Ops.LOAD_CONST
+            and instructions[index + 2][0] == Ops.BINARY
+            and instructions[index + 2][1] == BinOps.ADD
+            and instructions[index + 3][0] == Ops.DUP
+            and instructions[index + 4][0] == Ops.STORE_LOCAL
             and instructions[index + 4][1] == a
-            and instructions[index + 5][0] == Op.POP
+            and instructions[index + 5][0] == Ops.POP
             and all(index + offset not in targets for offset in range(1, 6))
             and isinstance(constants[instructions[index + 1][1]], (float, str))
         ):
             new_instructions.append(
-                (int(Op.INC_LOCAL_CONST), a, instructions[index + 1][1])
+                (int(Ops.INC_LOCAL_CONST), a, instructions[index + 1][1])
             )
             new_positions.append(code.positions[index])
             pc_map.extend([len(new_instructions) - 1] * 5)
@@ -407,18 +307,18 @@ def _fuse_superinstructions(code: CodeObject, result: OptimizeResult) -> None:
             continue
 
         if (
-            op == Op.BINARY
+            op == Ops.BINARY
             and a in _FUSABLE_CMP_BINOPS
             and index + 1 < count
             and instructions[index + 1][0]
-            in (Op.JUMP_IF_FALSE, Op.JUMP_IF_TRUE)
+            in (Ops.JUMP_IF_FALSE, Ops.JUMP_IF_TRUE)
             and (index + 1) not in targets
         ):
             jump_op = instructions[index + 1][0]
             fused_op = (
-                Op.CMP_JUMP_IF_FALSE
-                if jump_op == Op.JUMP_IF_FALSE
-                else Op.CMP_JUMP_IF_TRUE
+                Ops.CMP_JUMP_IF_FALSE
+                if jump_op == Ops.JUMP_IF_FALSE
+                else Ops.CMP_JUMP_IF_TRUE
             )
             new_instructions.append(
                 (int(fused_op), instructions[index + 1][1], a)

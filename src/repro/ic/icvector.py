@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import typing
+from types import SimpleNamespace
 
 from repro.bytecode.code import CodeObject, FeedbackSlotInfo
 
@@ -31,6 +32,12 @@ class ICState(enum.Enum):
     MEGAMORPHIC = "megamorphic"
 
 
+#: The members of :class:`ICState` as plain attributes (``ICStates.MONOMORPHIC
+#: is ICState.MONOMORPHIC``), for code that runs per site or per IC access
+#: (docs/INTERNALS.md §8).
+ICStates = SimpleNamespace(**ICState.__members__)
+
+
 class ICSite:
     """IC state for a single object access site."""
 
@@ -40,7 +47,7 @@ class ICSite:
         self.info = info
         #: Up to POLY_LIMIT (hidden class, handler) pairs.
         self.slots: list[tuple["HiddenClass", "Handler"]] = []
-        self.state = ICState.UNINITIALIZED
+        self.state = ICStates.UNINITIALIZED
         #: Addresses of hidden classes whose slot was preloaded by RIC, used
         #: to attribute averted misses.
         self.preloaded_addresses: set[int] = set()
@@ -77,7 +84,7 @@ class ICSite:
         Re-installing for a hidden class already present replaces its
         handler (used when a prototype-chain handler is invalidated).
         """
-        if self.state is ICState.MEGAMORPHIC:
+        if self.state is ICStates.MEGAMORPHIC:
             return False
         for index, (cached_hc, _) in enumerate(self.slots):
             if cached_hc is hidden_class:
@@ -86,13 +93,13 @@ class ICSite:
         if len(self.slots) >= POLY_LIMIT:
             self.slots.clear()
             self.preloaded_addresses.clear()
-            self.state = ICState.MEGAMORPHIC
+            self.state = ICStates.MEGAMORPHIC
             return False
         self.slots.append((hidden_class, handler))
         if preloaded:
             self.preloaded_addresses.add(hidden_class.address)
         self.state = (
-            ICState.MONOMORPHIC if len(self.slots) == 1 else ICState.POLYMORPHIC
+            ICStates.MONOMORPHIC if len(self.slots) == 1 else ICStates.POLYMORPHIC
         )
         return True
 

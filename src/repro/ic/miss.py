@@ -38,7 +38,7 @@ from repro.ic.handlers import (
     StoreGlobalHandler,
     StoreTransitionHandler,
 )
-from repro.ic.icvector import ICSite, ICState
+from repro.ic.icvector import ICSite, ICStates
 from repro.lang.errors import JSLReferenceError
 from repro.runtime.context import Runtime
 from repro.runtime.objects import JSArray, JSFunction, JSObject
@@ -141,9 +141,9 @@ class ICRuntime:
         if after is not before:
             # Tier transitions are counted here (and in RIC preloading),
             # never in the VM's inline probe, which never installs.
-            if after is ICState.POLYMORPHIC:
+            if after is ICStates.POLYMORPHIC:
                 self.counters.ic_poly_transitions += 1
-            elif after is ICState.MEGAMORPHIC:
+            elif after is ICStates.MEGAMORPHIC:
                 self.counters.ic_mega_transitions += 1
                 if self.tracer is not None:
                     from repro.stats.tracing import SITE_MEGAMORPHIC
@@ -199,7 +199,7 @@ class ICRuntime:
 
         # Megamorphic sites fall back to the shared stub cache, like V8:
         # the site itself stays generic but (map, name) pairs still hit.
-        if site.state is ICState.MEGAMORPHIC:
+        if site.state is ICStates.MEGAMORPHIC:
             stub_key = (hc.address, name, False)
             cached = self.stub_cache.get(stub_key)
             if cached is not None:
@@ -237,7 +237,7 @@ class ICRuntime:
 
         if new_handler is not None:
             self._record_handler_generated(new_handler)
-            if site.state is ICState.MEGAMORPHIC:
+            if site.state is ICStates.MEGAMORPHIC:
                 counters.charge(CATEGORY_IC_MISS, cost.IC_UPDATE)
                 self.stub_cache[(hc.address, name, False)] = new_handler
             else:
@@ -255,7 +255,7 @@ class ICRuntime:
         hc = obj.hidden_class
 
         # Megamorphic stores also use the shared stub cache (V8-like).
-        if site.state is ICState.MEGAMORPHIC:
+        if site.state is ICStates.MEGAMORPHIC:
             stub_key = (hc.address, name, True)
             cached = self.stub_cache.get(stub_key)
             if cached is not None:
@@ -314,7 +314,7 @@ class ICRuntime:
     ) -> None:
         """Install into the site's ICVector, or into the shared stub cache
         once the site is megamorphic."""
-        if site.state is ICState.MEGAMORPHIC:
+        if site.state is ICStates.MEGAMORPHIC:
             self.counters.charge(CATEGORY_IC_MISS, cost.IC_UPDATE)
             self.stub_cache[(hc.address, name, is_store)] = handler
             return

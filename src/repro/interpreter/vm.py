@@ -37,6 +37,12 @@ or serves the other direction, a string key) enters the runtime through
 shared stub cache of megamorphic named sites and string keys.  None of
 them probes the slots again.
 
+``BINARY``, ``UNARY``, the fused ``CMP_JUMP_IF_*`` and ``INC_LOCAL_CONST``
+call the operator table of :mod:`repro.runtime.operators` by operator
+number, the functions the optimizer folds with; ``in`` and
+``instanceof`` need the runtime, so each VM's copy of the table holds
+its own methods for them.
+
 Guest instruction accounting: each dispatched bytecode charges
 ``cost_model.DISPATCH`` (batched per frame for speed); everything heavier
 (allocation, natives, IC misses) is charged where it happens.  The raw
@@ -67,7 +73,7 @@ import time
 import typing
 
 from repro.bytecode.code import CodeObject
-from repro.bytecode.opcodes import BinOp, Op, UnOp
+from repro.bytecode.opcodes import BinOp, BinOps, Op, Ops
 from repro.core.budget import BudgetMeter, CancelToken, ExecutionBudget
 from repro.core.errors import DepthBudgetExceeded
 from repro.ic.handlers import MISS, LoadElementHandler, StoreElementHandler
@@ -78,20 +84,14 @@ from repro.interpreter.frames import Environment, ForInIterator, Frame, GuestThr
 from repro.lang.errors import JSLRuntimeError, JSLTypeError
 from repro.runtime.context import Runtime
 from repro.runtime.objects import JSArray, JSFunction, JSObject
+from repro.runtime.operators import BINARY_OPERATORS, UNARY_OPERATORS
 from repro.runtime.values import (
     NULL,
     UNDEFINED,
     element_index,
-    loose_equals,
-    number_divide,
-    number_remainder,
-    strict_equals,
     to_boolean,
-    to_number,
     to_property_key,
     to_string,
-    to_int32,
-    to_uint32,
     type_of,
 )
 from repro.specialize.feedback import operand_type_bits
@@ -122,6 +122,9 @@ _IC_HIT_COST = cost.IC_PROBE + cost.HANDLER_EXECUTE
 #: Hoisted for the inline probe's tier check (module-level lookup is cheaper
 #: than the enum attribute access in the hot handlers).
 _MONOMORPHIC = ICState.MONOMORPHIC
+
+#: ``+`` of the operator table, which INC_LOCAL_CONST runs.
+_ADD = BINARY_OPERATORS[BinOp.ADD]
 
 #: Comparison semantics of the typed CMP_*_JUMP_IF_* opcodes.  Their
 #: guards admit only float pairs, for which Python's comparisons match
@@ -168,6 +171,10 @@ class VM:
         self._call_depth = 0
         self._time_source = time_source or time.time
         self._dispatch = self._build_dispatch_table()
+        #: The operator table, with this VM's ``in`` and ``instanceof``.
+        self._binary_operators = list(BINARY_OPERATORS)
+        self._binary_operators[BinOps.IN] = self._in
+        self._binary_operators[BinOps.INSTANCEOF] = self._instanceof
         #: id(code) -> threaded instruction list for this VM.
         self._threaded_cache: dict[int, list] = {}
         #: Governance state: a BudgetMeter when this VM is governed (the
@@ -898,12 +905,12 @@ class VM:
         # Type-feedback recorder: one mask OR per dispatch (both loops
         # share this handler, so governed runs record too).
         frame.arith[pc - 1] |= operand_type_bits(left, right)
-        stack[-1] = self._binary(a, left, right)
+        stack[-1] = self._binary_operators[a](left, right)
         return pc
 
     def _op_unary(self, frame: Frame, a: int, b: int, pc: int) -> int:
         stack = frame.stack
-        stack[-1] = self._unary(a, stack[-1])
+        stack[-1] = UNARY_OPERATORS[a](stack[-1])
         return pc
 
     # fused superinstructions (emitted by bytecode/optimizer.py only)
@@ -912,11 +919,11 @@ class VM:
         """INC_LOCAL_CONST: ``locals[a] = locals[a] + consts[b]``.
 
         Fused form of LOAD_LOCAL;LOAD_CONST;BINARY ADD;DUP;STORE_LOCAL;
-        POP — same ``_binary`` semantics (number add or string concat),
-        zero net stack effect, one dispatch instead of six.
+        POP — the same ``+`` (number add or string concat), zero net
+        stack effect, one dispatch instead of six.
         """
         slots = frame.slots
-        slots[a] = self._binary(BinOp.ADD, slots[a], frame.consts[b])
+        slots[a] = _ADD(slots[a], frame.consts[b])
         return pc
 
     def _op_cmp_jump_if_false(self, frame: Frame, a: int, b: int, pc: int) -> int:
@@ -925,7 +932,7 @@ class VM:
         right = stack.pop()
         left = stack.pop()
         frame.arith[pc - 1] |= operand_type_bits(left, right)
-        if not to_boolean(self._binary(b, left, right)):
+        if not to_boolean(self._binary_operators[b](left, right)):
             return a
         return pc
 
@@ -935,7 +942,7 @@ class VM:
         right = stack.pop()
         left = stack.pop()
         frame.arith[pc - 1] |= operand_type_bits(left, right)
-        if to_boolean(self._binary(b, left, right)):
+        if to_boolean(self._binary_operators[b](left, right)):
             return a
         return pc
 
@@ -997,7 +1004,7 @@ class VM:
             self.counters.specialized_hits += 1
             return pc
         return self._deopt(
-            frame, pc, Op.BINARY, a, b, self._arith_site_key(frame, pc)
+            frame, pc, Ops.BINARY, a, b, self._arith_site_key(frame, pc)
         )
 
     def _op_add_num(self, frame: Frame, a: int, b: int, pc: int) -> int:
@@ -1011,7 +1018,7 @@ class VM:
             self.counters.specialized_hits += 1
             return pc
         return self._deopt(
-            frame, pc, Op.BINARY, a, b, self._arith_site_key(frame, pc)
+            frame, pc, Ops.BINARY, a, b, self._arith_site_key(frame, pc)
         )
 
     def _op_sub_num(self, frame: Frame, a: int, b: int, pc: int) -> int:
@@ -1024,7 +1031,7 @@ class VM:
             self.counters.specialized_hits += 1
             return pc
         return self._deopt(
-            frame, pc, Op.BINARY, a, b, self._arith_site_key(frame, pc)
+            frame, pc, Ops.BINARY, a, b, self._arith_site_key(frame, pc)
         )
 
     def _op_mul_num(self, frame: Frame, a: int, b: int, pc: int) -> int:
@@ -1037,7 +1044,7 @@ class VM:
             self.counters.specialized_hits += 1
             return pc
         return self._deopt(
-            frame, pc, Op.BINARY, a, b, self._arith_site_key(frame, pc)
+            frame, pc, Ops.BINARY, a, b, self._arith_site_key(frame, pc)
         )
 
     def _op_cmp_int_jump_if_false(self, frame: Frame, a: int, b: int, pc: int) -> int:
@@ -1057,7 +1064,7 @@ class VM:
                 return a
             return pc
         return self._deopt(
-            frame, pc, Op.CMP_JUMP_IF_FALSE, a, b, self._arith_site_key(frame, pc)
+            frame, pc, Ops.CMP_JUMP_IF_FALSE, a, b, self._arith_site_key(frame, pc)
         )
 
     def _op_cmp_int_jump_if_true(self, frame: Frame, a: int, b: int, pc: int) -> int:
@@ -1076,7 +1083,7 @@ class VM:
                 return a
             return pc
         return self._deopt(
-            frame, pc, Op.CMP_JUMP_IF_TRUE, a, b, self._arith_site_key(frame, pc)
+            frame, pc, Ops.CMP_JUMP_IF_TRUE, a, b, self._arith_site_key(frame, pc)
         )
 
     def _op_cmp_num_jump_if_false(self, frame: Frame, a: int, b: int, pc: int) -> int:
@@ -1091,7 +1098,7 @@ class VM:
                 return a
             return pc
         return self._deopt(
-            frame, pc, Op.CMP_JUMP_IF_FALSE, a, b, self._arith_site_key(frame, pc)
+            frame, pc, Ops.CMP_JUMP_IF_FALSE, a, b, self._arith_site_key(frame, pc)
         )
 
     def _op_cmp_num_jump_if_true(self, frame: Frame, a: int, b: int, pc: int) -> int:
@@ -1105,7 +1112,7 @@ class VM:
                 return a
             return pc
         return self._deopt(
-            frame, pc, Op.CMP_JUMP_IF_TRUE, a, b, self._arith_site_key(frame, pc)
+            frame, pc, Ops.CMP_JUMP_IF_TRUE, a, b, self._arith_site_key(frame, pc)
         )
 
     def _op_get_prop_slot(self, frame: Frame, a: int, b: int, pc: int) -> int:
@@ -1144,7 +1151,7 @@ class VM:
         return self._deopt(
             frame,
             pc,
-            Op.GET_PROP,
+            Ops.GET_PROP,
             frame.code.spec_table[a][0],
             b,
             frame.sites[b].info.site_key,
@@ -1186,7 +1193,7 @@ class VM:
         return self._deopt(
             frame,
             pc,
-            Op.SET_PROP,
+            Ops.SET_PROP,
             frame.code.spec_table[a][0],
             b,
             frame.sites[b].info.site_key,
@@ -1217,103 +1224,33 @@ class VM:
         return pc
 
     # -- operators ------------------------------------------------------------------
+    #
+    # Every other operator is a pure function of the operator table
+    # (repro.runtime.operators); these two need the runtime.
 
-    def _binary(self, op: int, left: object, right: object) -> object:
-        if op == BinOp.ADD:
-            if isinstance(left, str) or isinstance(right, str):
-                return to_string(left) + to_string(right)
-            if isinstance(left, JSObject) or isinstance(right, JSObject):
-                return to_string(left) + to_string(right)
-            return to_number(left) + to_number(right)
-        if op == BinOp.SUB:
-            return to_number(left) - to_number(right)
-        if op == BinOp.MUL:
-            return to_number(left) * to_number(right)
-        if op == BinOp.DIV:
-            return number_divide(to_number(left), to_number(right))
-        if op == BinOp.MOD:
-            return number_remainder(to_number(left), to_number(right))
-        if op == BinOp.EQ:
-            return loose_equals(left, right)
-        if op == BinOp.NEQ:
-            return not loose_equals(left, right)
-        if op == BinOp.STRICT_EQ:
-            return strict_equals(left, right)
-        if op == BinOp.STRICT_NEQ:
-            return not strict_equals(left, right)
-        if op in (BinOp.LT, BinOp.GT, BinOp.LE, BinOp.GE):
-            return self._compare(op, left, right)
-        if op == BinOp.BIT_AND:
-            return float(to_int32(left) & to_int32(right))
-        if op == BinOp.BIT_OR:
-            return float(to_int32(left) | to_int32(right))
-        if op == BinOp.BIT_XOR:
-            return float(to_int32(left) ^ to_int32(right))
-        if op == BinOp.SHL:
-            shifted = (to_int32(left) << (to_uint32(right) & 31)) & 0xFFFFFFFF
-            if shifted >= 0x80000000:
-                shifted -= 0x100000000
-            return float(shifted)
-        if op == BinOp.SHR:
-            return float(to_int32(left) >> (to_uint32(right) & 31))
-        if op == BinOp.USHR:
-            return float(to_uint32(left) >> (to_uint32(right) & 31))
-        if op == BinOp.IN:
-            if not isinstance(right, JSObject):
-                raise self.guest_type_error("'in' requires an object")
-            self.counters.charge(CATEGORY_RUNTIME_OTHER, cost.PROPERTY_LOOKUP_BASE)
-            name = to_property_key(left)
-            index = element_index(name)
-            if index is not None:
-                holder: JSObject | None = right
-                while holder is not None:
-                    if holder.has_own_element(index):
-                        return True
-                    holder = holder.hidden_class.prototype
-            return self.runtime.lookup_property(right, name).kind != "absent"
-        if op == BinOp.INSTANCEOF:
-            if not isinstance(right, JSFunction):
-                raise self.guest_type_error("Right-hand side of 'instanceof' is not callable")
-            if not isinstance(left, JSObject):
-                return False
-            prototype = right.get_own("prototype")[1]
-            current = left.hidden_class.prototype
-            while current is not None:
-                if current is prototype:
+    def _in(self, left: object, right: object) -> bool:
+        if not isinstance(right, JSObject):
+            raise self.guest_type_error("'in' requires an object")
+        self.counters.charge(CATEGORY_RUNTIME_OTHER, cost.PROPERTY_LOOKUP_BASE)
+        name = to_property_key(left)
+        index = element_index(name)
+        if index is not None:
+            holder: JSObject | None = right
+            while holder is not None:
+                if holder.has_own_element(index):
                     return True
-                current = current.hidden_class.prototype
-            return False
-        raise JSLRuntimeError(f"unknown binary operator {op}")  # pragma: no cover
+                holder = holder.hidden_class.prototype
+        return self.runtime.lookup_property(right, name).kind != "absent"
 
-    @staticmethod
-    def _compare(op: int, left: object, right: object) -> bool:
-        if isinstance(left, str) and isinstance(right, str):
-            if op == BinOp.LT:
-                return left < right
-            if op == BinOp.GT:
-                return left > right
-            if op == BinOp.LE:
-                return left <= right
-            return left >= right
-        a = to_number(left)
-        b = to_number(right)
-        if a != a or b != b:  # NaN comparisons are always false
+    def _instanceof(self, left: object, right: object) -> bool:
+        if not isinstance(right, JSFunction):
+            raise self.guest_type_error("Right-hand side of 'instanceof' is not callable")
+        if not isinstance(left, JSObject):
             return False
-        if op == BinOp.LT:
-            return a < b
-        if op == BinOp.GT:
-            return a > b
-        if op == BinOp.LE:
-            return a <= b
-        return a >= b
-
-    def _unary(self, op: int, operand: object) -> object:
-        if op == UnOp.NEG:
-            return -to_number(operand)
-        if op == UnOp.PLUS:
-            return to_number(operand)
-        if op == UnOp.NOT:
-            return not to_boolean(operand)
-        if op == UnOp.BIT_NOT:
-            return float(~to_int32(operand))
-        raise JSLRuntimeError(f"unknown unary operator {op}")  # pragma: no cover
+        prototype = right.get_own("prototype")[1]
+        current = left.hidden_class.prototype
+        while current is not None:
+            if current is prototype:
+                return True
+            current = current.hidden_class.prototype
+        return False

@@ -5,9 +5,10 @@ pairs in a single call; a loop then classifies each token and gives it
 a :class:`~repro.lang.errors.SourcePosition` (the stable identity of
 every object access site).  Line and column come from the offsets at
 which lines start; columns count code points, ``\\r`` and ``\\t``
-included.  Numeric literals use ASCII digits only; identifiers start
-with a ``str.isalpha`` letter, ``_`` or ``$`` and continue with
-``str.isalnum`` characters, ``_`` or ``$``.
+included.  Numeric literals use ASCII digits only, and none starts with
+``0`` followed by a digit; identifiers start with a ``str.isalpha``
+letter, ``_`` or ``$`` and continue with ``str.isalnum`` characters,
+``_`` or ``$``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import accumulate
 from string import ascii_letters, digits
 
 from repro.lang.errors import JSLSyntaxError, SourcePosition
-from repro.lang.tokens import KEYWORDS, Token, TokenKind
+from repro.lang.tokens import KEYWORDS, Token, TokenKind, TokenKinds
 
 _ESCAPES = {
     "n": "\n",
@@ -36,11 +37,11 @@ _OPERATORS = {kind.value: kind for kind in TokenKind if not kind.value.isalpha()
 _FIXED = {**KEYWORDS, **_OPERATORS}
 #: The kind of any other token, by its first character ("" is the end).
 _LEADING = {
-    **dict.fromkeys(ascii_letters + "_$", TokenKind.IDENT),
-    **dict.fromkeys(digits + ".", TokenKind.NUMBER),
-    '"': TokenKind.STRING,
-    "'": TokenKind.STRING,
-    "": TokenKind.EOF,
+    **dict.fromkeys(ascii_letters + "_$", TokenKinds.IDENT),
+    **dict.fromkeys(digits + ".", TokenKinds.NUMBER),
+    '"': TokenKinds.STRING,
+    "'": TokenKinds.STRING,
+    "": TokenKinds.EOF,
 }
 
 
@@ -90,17 +91,17 @@ def tokenize(source: str, filename: str = "<script>") -> list[Token]:
             append(Token(kind, text, position))
             continue
         kind = _LEADING.get(text[:1])
-        if kind is TokenKind.IDENT:
+        if kind is TokenKinds.IDENT:
             append(Token(kind, text, position))
-        elif kind is TokenKind.NUMBER:
+        elif kind is TokenKinds.NUMBER:
             append(Token(kind, _number(text, position), position))
-        elif kind is TokenKind.STRING:
+        elif kind is TokenKinds.STRING:
             append(Token(kind, _string(source, start, text, position), position))
-        elif kind is TokenKind.EOF:
+        elif kind is TokenKinds.EOF:
             append(Token(kind, None, position))
             return tokens
         elif text[0].isalpha():
-            append(Token(TokenKind.IDENT, text, position))
+            append(Token(TokenKinds.IDENT, text, position))
         elif text == "/*":
             raise JSLSyntaxError("unterminated block comment", position)
         else:
@@ -116,6 +117,10 @@ def _number(text: str, position: SourcePosition) -> float:
             return float(int(text, 16))
         except OverflowError:  # past the double range: Infinity, as in JS
             return float("inf")
+    if text[0] == "0" and text[1:2].isdigit():
+        # Legacy octal (``012``) and leading-zero decimals (``08``) are
+        # syntax errors in strict-mode JS.
+        raise JSLSyntaxError("numeric literal with a leading zero", position)
     try:
         return float(text)
     except ValueError:  # an exponent marker without digits

@@ -10,13 +10,20 @@ expression/statement forms.
 from __future__ import annotations
 
 import enum
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from repro.lang.errors import SourcePosition
 
 
 class TokenKind(enum.Enum):
-    """Every lexical category recognised by the scanner."""
+    """Every lexical category recognised by the scanner.
+
+    Kinds hash by identity, as they compare: ``Enum.__hash__`` is a
+    Python-level call, and the parser keys its operator tables by kind.
+    """
+
+    __hash__ = object.__hash__
 
     # Literals and identifiers.
     NUMBER = "number"
@@ -102,6 +109,12 @@ class TokenKind(enum.Enum):
 
     EOF = "eof"
 
+
+#: The members of :class:`TokenKind` as plain attributes (``TokenKinds.IDENT
+#: is TokenKind.IDENT``), for the lexer and parser: on CPython 3.11 a
+#: lookup on the enum class itself runs the enum metaclass's attribute
+#: hook, ~10x a plain attribute read (docs/INTERNALS.md §8).
+TokenKinds = SimpleNamespace(**TokenKind.__members__)
 
 #: Reserved words mapped to their token kinds.
 KEYWORDS: dict[str, TokenKind] = {

@@ -35,14 +35,14 @@ import json
 import time
 from collections import Counter
 
-from repro.bytecode.code import FeedbackSlotInfo, SiteKind
+from repro.bytecode.code import FeedbackSlotInfo, SiteKinds
 from repro.core.config import RICConfig
 from repro.ic.handlers import (
     LoadFieldHandler,
     StoreFieldHandler,
     StoreTransitionHandler,
 )
-from repro.ic.icvector import FeedbackState, ICSite, ICState
+from repro.ic.icvector import FeedbackState, ICSite, ICStates
 from repro.ric.icrecord import (
     FEEDBACK_PROP_LOAD,
     FEEDBACK_PROP_STORE,
@@ -114,7 +114,7 @@ def _reusable(feedback: FeedbackState, config: RICConfig):
         global_keys.update(
             site.info.site_key
             for site in feedback.all_sites()
-            if site.info.kind in (SiteKind.GLOBAL_LOAD, SiteKind.GLOBAL_STORE)
+            if site.info.kind in (SiteKinds.GLOBAL_LOAD, SiteKinds.GLOBAL_STORE)
         )
 
     def reusable(hc: HiddenClass) -> bool:
@@ -214,7 +214,7 @@ def _extract(
 
     for site in feedback.all_sites():
         info = site.info
-        if info.kind not in (SiteKind.NAMED_LOAD, SiteKind.NAMED_STORE):
+        if not info.reusable:
             continue  # keyed + global sites are not linked (paper §6)
         if filename is not None and info.position.filename != filename:
             continue
@@ -279,24 +279,24 @@ def prop_site_feedback(
     info: FeedbackSlotInfo = site.info
     kind = (
         FEEDBACK_PROP_LOAD
-        if info.kind is SiteKind.NAMED_LOAD
+        if info.kind is SiteKinds.NAMED_LOAD
         else FEEDBACK_PROP_STORE
     )
-    if site.state is ICState.MEGAMORPHIC:
+    if site.state is ICStates.MEGAMORPHIC:
         return SiteFeedback(kind=kind, mega=True)
     if (
-        site.state is ICState.MONOMORPHIC
+        site.state is ICStates.MONOMORPHIC
         and len(slot_entries) == 1
         and len(site.slots) == 1
     ):
         handler = site.slots[0][1]
         wanted = (
             LoadFieldHandler
-            if info.kind is SiteKind.NAMED_LOAD
+            if info.kind is SiteKinds.NAMED_LOAD
             else StoreFieldHandler
         )
         if isinstance(handler, wanted) and not (
-            info.kind is SiteKind.NAMED_STORE and info.name == "prototype"
+            info.kind is SiteKinds.NAMED_STORE and info.name == "prototype"
         ):
             return SiteFeedback(
                 kind=kind,

@@ -27,7 +27,7 @@ import typing
 
 from repro.core.config import RICConfig
 from repro.ic.handlers import Handler, deserialize_handler
-from repro.ic.icvector import POLY_LIMIT, FeedbackState, ICSite, ICState
+from repro.ic.icvector import POLY_LIMIT, FeedbackState, ICSite, ICStates
 from repro.interpreter import cost_model as cost
 from repro.ric.icrecord import ICRecord, ToastPair, filename_of_creation_key
 from repro.runtime.hidden_class import HiddenClass
@@ -246,7 +246,7 @@ class ReuseSession:
         record stores no slots for them and they re-learn through the
         stub cache.
         """
-        if site.state is ICState.MEGAMORPHIC or len(site.slots) >= POLY_LIMIT:
+        if site.state is ICStates.MEGAMORPHIC or len(site.slots) >= POLY_LIMIT:
             return
         if site.lookup(hc) is not None:
             return
@@ -259,7 +259,7 @@ class ReuseSession:
             self.counters.charge(CATEGORY_RIC, cost.HANDLER_GENERATE)
         before = site.state
         site.install(hc, handler, preloaded=True)
-        if site.state is ICState.POLYMORPHIC and before is not ICState.POLYMORPHIC:
+        if site.state is ICStates.POLYMORPHIC and before is not ICStates.POLYMORPHIC:
             self.counters.ic_poly_transitions += 1
         self.counters.ric_preloads += 1
         self._apply_slot_plan(index, site)

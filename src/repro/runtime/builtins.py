@@ -854,7 +854,7 @@ def install_builtins(runtime: Runtime) -> None:
     string_method("lastIndexOf", lambda vm, s, a: float(s.rfind(to_string(a[0]))) if a else -1.0)
     string_method("toUpperCase", lambda vm, s, a: s.upper())
     string_method("toLowerCase", lambda vm, s, a: s.lower())
-    string_method("trim", lambda vm, s, a: s.strip())
+    string_method("trim", lambda vm, s, a: s.strip(STR_WHITESPACE))
     string_method("toString", lambda vm, s, a: s)
 
     def _string_slice(vm: "VM", s: str, args: list) -> str:

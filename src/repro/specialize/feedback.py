@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.bytecode.opcodes import BinOp, Op
+from repro.bytecode.opcodes import BinOp, Op, Ops
 from repro.ric.icrecord import (
     FEEDBACK_ARITH,
     FEEDBACK_BOOL,
@@ -150,10 +150,10 @@ def collect_arith_feedback(
         masks = vector.arith
         for pc, (op, a, b) in enumerate(code.instructions):
             synthesized = 0
-            if op == Op.BINARY and a in ARITH_BINOPS:
+            if op == Ops.BINARY and a in ARITH_BINOPS:
                 binop = a
             elif (
-                op in (Op.CMP_JUMP_IF_FALSE, Op.CMP_JUMP_IF_TRUE)
+                op in (Ops.CMP_JUMP_IF_FALSE, Ops.CMP_JUMP_IF_TRUE)
                 and b in CMP_BINOPS
             ):
                 binop = b

@@ -33,7 +33,7 @@ from __future__ import annotations
 import typing
 
 from repro.bytecode.code import CodeObject
-from repro.bytecode.opcodes import BinOp, Op
+from repro.bytecode.opcodes import BinOp, BinOps, Op, Ops
 from repro.ric.icrecord import (
     FEEDBACK_ARITH,
     FEEDBACK_INT,
@@ -132,8 +132,8 @@ def merge_site_feedback(
 def _arith_replacement(binop: int, mask: int) -> int | None:
     if not mask or mask & ~NUMERIC_MASK:
         return None
-    if binop == int(BinOp.ADD) and not mask & ~FEEDBACK_INT:
-        return int(Op.ADD_INT)
+    if binop == BinOps.ADD and not mask & ~FEEDBACK_INT:
+        return int(Ops.ADD_INT)
     return _NUM_ARITH_OP.get(binop)
 
 

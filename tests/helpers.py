@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
+import enum
 import json
+import sys
 
 import pytest
 
@@ -15,6 +19,73 @@ from repro.interpreter.vm import VM
 from repro.runtime.builtins import install_builtins
 from repro.runtime.context import Runtime
 from repro.stats.counters import Counters
+
+
+class EnumUseCounts:
+    """What :func:`count_enum_use` saw: ``lookups`` and ``hashes``, each a
+    ``Counter`` keyed by ``(enum class name, "module:function")`` of the
+    caller."""
+
+    def __init__(self) -> None:
+        self.lookups: collections.Counter = collections.Counter()
+        self.hashes: collections.Counter = collections.Counter()
+
+    def report(self, counter: collections.Counter, top: int = 10) -> str:
+        return "\n".join(
+            f"  {count:7d}  {kind}.* from {caller}"
+            for (kind, caller), count in counter.most_common(top)
+        )
+
+
+@contextlib.contextmanager
+def count_enum_use():
+    """Count member lookups on enum classes and calls of ``Enum.__hash__``.
+
+    A ``Kind.MEMBER`` lookup runs the enum metaclass's attribute hook on
+    CPython 3.11 (~0.18 us, against ~0.02 us for a local) and a plain
+    ``Enum`` member hashes through a Python-level ``__hash__``; neither
+    belongs on a per-token or per-instruction path (docs/INTERNALS.md
+    §8).  The manager installs a ``__getattribute__`` on the metaclass
+    that counts every public (non-underscore) name looked up on an enum
+    class, and wraps ``enum.Enum.__hash__``; both are restored on exit.
+    Counts are keyed by the calling ``module:function``, so they do not
+    depend on timing.
+    """
+    meta = type(enum.Enum)
+    own_getattribute = meta.__dict__.get("__getattribute__")
+    enum_hash = enum.Enum.__dict__["__hash__"]
+    counts = EnumUseCounts()
+    # Keyed by class while the hook is in: ``cls.__name__`` would re-enter it.
+    lookups: collections.Counter = collections.Counter()
+    hashes: collections.Counter = collections.Counter()
+    get = type.__getattribute__
+
+    def caller(depth: int) -> str:
+        frame = sys._getframe(depth)
+        return f"{frame.f_globals.get('__name__')}:{frame.f_code.co_name}"
+
+    def counting_getattribute(cls, name):
+        if not name.startswith("_"):
+            lookups[(cls, caller(2))] += 1
+        return get(cls, name)
+
+    def counting_hash(member):
+        hashes[(type(member), caller(2))] += 1
+        return enum_hash(member)
+
+    enum.Enum.__hash__ = counting_hash
+    meta.__getattribute__ = counting_getattribute
+    try:
+        yield counts
+    finally:
+        if own_getattribute is None:
+            del meta.__getattribute__
+        else:
+            meta.__getattribute__ = own_getattribute
+        enum.Enum.__hash__ = enum_hash
+        for raw, named in ((lookups, counts.lookups), (hashes, counts.hashes)):
+            for (cls, where), count in raw.items():
+                named[(cls.__name__, where)] += count
 
 
 def all_counters(counters) -> dict:

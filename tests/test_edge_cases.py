@@ -350,11 +350,28 @@ _STRING_TO_NUMBER_CASES = [
     ('parseInt("5", 0 / 0)', "5"),
     ('parseInt("5", 1 / 0)', "5"),
     ('parseInt("10", 37)', "NaN"),
+    ('Number("012")', "12"),
+]
+
+#: ``String.prototype.trim`` strips StrWhiteSpaceChar: U+FEFF and the
+#: other JS white space and line terminators, but not U+001C-U+001F or
+#: U+0085, which Python's ``str.strip()`` also strips.
+_TRIM_CASES = [
+    (r'"\ufeffa".trim().length', "1"),
+    (r'"\x1ca".trim().length', "2"),
+    (r'"\u0085a".trim().length', "2"),
+    (r'"\u3000\t a \u2028\xa0".trim()', "a"),
 ]
 
 
 class TestStringToNumber:
     @pytest.mark.parametrize("expression, expected", _STRING_TO_NUMBER_CASES)
+    def test_prints_like_node(self, expression, expected):
+        assert console_of(f"console.log({expression});") == [expected]
+
+
+class TestTrim:
+    @pytest.mark.parametrize("expression, expected", _TRIM_CASES)
     def test_prints_like_node(self, expression, expected):
         assert console_of(f"console.log({expression});") == [expected]
 

@@ -245,3 +245,41 @@ class TestAsciiDigits:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("unexpected character") == 2
+
+
+#: Numeric literals with a leading zero before a digit: legacy octal
+#: (``012``) and leading-zero decimals (``08``), both syntax errors in
+#: strict-mode JS, node's mode in tests/test_node_oracle.py.
+LEADING_ZERO_LITERALS = ["012", "08", "00", "09.5", "08e1", "0123e1", "00.5"]
+
+
+class TestLeadingZero:
+    @pytest.mark.parametrize("literal", LEADING_ZERO_LITERALS)
+    def test_leading_zero_before_a_digit_raises(self, literal):
+        with pytest.raises(JSLSyntaxError) as info:
+            tokenize(f"console.log(1, {literal});")
+        assert info.value.message == "numeric literal with a leading zero"
+        assert info.value.position.column == 16
+
+    @pytest.mark.parametrize(
+        "literal, value",
+        [("0", 0.0), ("0.5", 0.5), ("0e1", 0.0), ("0x1F", 31.0), (".5", 0.5),
+         ("0.", 0.0), ("10", 10.0), ("1e05", 1e5), ("100.05", 100.05)],
+    )
+    def test_other_zeros_are_numbers(self, literal, value):
+        assert values(literal) == [value]
+
+    def test_numeric_strings_keep_leading_zeros(self):
+        from tests.helpers import console_of
+
+        assert console_of('console.log(Number("012"), "08" * 1);') == ["12 8"]
+
+    def test_run_cli_exits_with_the_parse_error_code(self, tmp_path, capsys):
+        from repro.harness.run_cli import EXIT_PARSE, main
+
+        script = tmp_path / "octal.jsl"
+        script.write_text("console.log(012, 08);\n", encoding="utf-8")
+        assert main([str(script)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "octal.jsl:1:13: numeric literal with a leading zero" in captured.err

@@ -6,8 +6,9 @@ runs the same programs through ``node`` and asserts that it still prints
 those lines.  Each program runs under ``"use strict"``, with a
 ``console.log`` that joins ``String(x)`` of its arguments with spaces,
 which is how jsl's ``console.log`` formats.  It also checks that node
-rejects the inputs the lexer rejects as non-ASCII digits, and the one
-name jsl accepts where node does not (``docs/JSL_LANGUAGE.md``).
+rejects the inputs the lexer rejects as non-ASCII digits or leading-zero
+literals, and the one name jsl accepts where node does not
+(``docs/JSL_LANGUAGE.md``).
 
 The whole file skips when ``node`` is not on PATH::
 
@@ -28,9 +29,11 @@ from tests.test_edge_cases import (
     _NUMBER_STRINGS,
     _OWN_ELEMENT_CASES,
     _STRING_TO_NUMBER_CASES,
+    _TRIM_CASES,
     division_sources,
     number_sources,
 )
+from tests.test_lexer import LEADING_ZERO_LITERALS
 
 NODE = shutil.which("node")
 pytestmark = pytest.mark.skipif(NODE is None, reason="node is not on PATH")
@@ -76,8 +79,9 @@ def _cases() -> list:
     ):
         for name, (source, expected) in sorted(table.items()):
             cases.append((f"{prefix}-{name}", source, expected))
-    for expression, expected in _STRING_TO_NUMBER_CASES:
-        cases.append((f"string-to-number-{expression}", f"console.log({expression});", [expected]))
+    for table, prefix in ((_STRING_TO_NUMBER_CASES, "string-to-number"), (_TRIM_CASES, "trim")):
+        for expression, expected in table:
+            cases.append((f"{prefix}-{expression}", f"console.log({expression});", [expected]))
     return cases
 
 
@@ -92,6 +96,13 @@ def test_node_prints_the_checked_in_lines(source, expected):
 @pytest.mark.parametrize("source", ["console.log(1 + ²);", "var a = ١; console.log(a);"])
 def test_node_rejects_non_ascii_digits(source):
     result = node(source)
+    assert result.returncode != 0
+    assert "SyntaxError" in result.stderr
+
+
+@pytest.mark.parametrize("literal", LEADING_ZERO_LITERALS)
+def test_node_rejects_leading_zero_literals(literal):
+    result = node(f"console.log(1, {literal});")
     assert result.returncode != 0
     assert "SyntaxError" in result.stderr
 
