@@ -131,7 +131,7 @@ class Op(enum.IntEnum):
 
     # Type-specialized (quickened) opcodes.  Neither the compiler nor the
     # optimizer emits these; the quickening pass (repro/specialize/) rewrites
-    # generic opcodes into them at artifact-build time, driven by the
+    # generic opcodes into them at session pre-flight, driven by the
     # ``site_feedback`` section of a persisted ICRecord.  Every one carries
     # an inline guard and deoptimizes — rewriting itself back to its generic
     # form in place — the first time the guard fails.

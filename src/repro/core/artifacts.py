@@ -1,25 +1,24 @@
-"""The artifact layer: immutable, thread-shareable script artifacts.
+"""The artifact layer: immutable, thread-shareable compiled scripts.
 
-The paper's central claim is that warmed IC state is a reusable
-*artifact*, separable from any particular run's mutable context.  This
-module makes that separation structural.  A :class:`ScriptArtifact`
-bundles everything about one script that is identical across runs — the
-source identity (content hash), the compiled
-:class:`~repro.bytecode.code.CodeObject` tree, and (optionally) the
-ICRecord fetched from a record store — into one frozen object that any
+The paper reuses bytecode through the code cache (§8.1) and keeps RIC
+state per file, applied to each run (§9).  This module holds the first
+half.  A :class:`ScriptArtifact` is one script's identity (content
+hash) and its compiled generic :class:`~repro.bytecode.code.CodeObject`
+tree: everything about the script that is the same in every run.  Any
 number of concurrent :class:`~repro.core.session.RunSession` instances
-may consume simultaneously.  Nothing in an artifact is ever mutated
-after publication: the compiler and optimizer finish before the artifact
-is constructed, the VM threads bytecode into *per-VM* caches rather than
-in place, and :class:`~repro.ric.reuse.ReuseSession` reads records
-strictly read-only.
+may consume one artifact at once.  Nothing in it is mutated after
+publication: the compiler and optimizer finish before the artifact is
+built, and the VM threads bytecode into *per-VM* caches.  Records are
+not part of an artifact.  A session admits its run's records and
+quickens a clone of the tree that is private to it, so a deopt patches
+that clone only.
 
 :class:`ArtifactCache` is the shared, thread-safe home of artifacts with
-**single-flight** builds: when N sessions cold-start the same source
-concurrently, exactly one thread compiles (and performs at most one
-record-store GET); the other N-1 block until the artifact is published
-and then share it.  Joiners of a failed build re-raise the builder's
-exception, and the in-flight entry is dropped so a later call retries.
+**single-flight** compiles: when N sessions cold-start the same source
+concurrently, exactly one thread compiles; the other N-1 block until
+the artifact is published and then share it.  Joiners of a failed build
+re-raise the builder's exception, and the in-flight entry is dropped so
+a later call retries.
 
 Counter compatibility: the pre-artifact engine consulted the
 :class:`~repro.bytecode.cache.CodeCache` once per script per run, so
@@ -43,17 +42,14 @@ from repro.bytecode.cache import CodeCache, source_hash
 from repro.bytecode.code import CodeObject
 from repro.bytecode.compiler import compile_source
 
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.ric.icrecord import ICRecord
-
 
 @dataclass(frozen=True)
 class ScriptArtifact:
     """Everything run-invariant about one script, shareable across threads.
 
-    Immutable by construction; the ``code`` tree and ``record`` it points
-    at are never mutated after publication (see module docstring), so one
-    instance may back any number of concurrent sessions.
+    Immutable by construction; the generic ``code`` tree is never
+    mutated after publication (see module docstring), so one instance
+    may back any number of concurrent sessions.
     """
 
     filename: str
@@ -63,26 +59,12 @@ class ScriptArtifact:
     #: the record store, and record trust checks alike.
     key: str
     code: CodeObject
-    #: Record fetched from the record store at build time, if any.  A
-    #: pinned record is a *candidate*: sessions still run admission
-    #: (structural validation) per run, exactly like an explicitly
-    #: passed record.
-    record: "ICRecord | None" = None
-    #: Whether a store fetch was attempted (distinguishes "no record
-    #: exists" from "never asked").
-    record_fetched: bool = False
-    #: When ``code`` is a quickened clone (built against a trusted
-    #: record's ``site_feedback``), the original generic tree it was
-    #: derived from.  Record-upgrade flights rebuild from *this*, never
-    #: from the stale specialization.  None when ``code`` is generic.
-    generic_code: CodeObject | None = None
-    #: Typed opcodes in ``code`` at publication time (0 when generic).
-    specialized_sites: int = 0
 
     @property
     def bytecode_heap_bytes(self) -> int:
-        """Total heap charge a session books for this script's bytecode
-        (same formula the engine has always used, summed over the tree)."""
+        """Total heap charge a session books for this script's bytecode,
+        summed over the tree.  A quickened clone books the same bytes:
+        quickening rewrites instructions 1:1 and shares every pool."""
         return sum(
             16 * len(nested.instructions)
             + 8 * len(nested.constants)
@@ -98,17 +80,9 @@ class ArtifactBuilder:
     (the underlying :class:`CodeCache` is internally locked).
     """
 
-    def __init__(
-        self,
-        code_cache: CodeCache,
-        optimize: bool = True,
-        record_store=None,
-        specialize: bool = True,
-    ):
+    def __init__(self, code_cache: CodeCache, optimize: bool = True):
         self.code_cache = code_cache
         self.optimize = optimize
-        self.record_store = record_store
-        self.specialize = specialize
 
     def compile(self, filename: str, source: str) -> "tuple[CodeObject, bool]":
         """Compile through the code cache; returns ``(code, hit)`` where
@@ -124,76 +98,18 @@ class ArtifactBuilder:
         self.code_cache.store(filename, source, code)
         return code, False
 
-    def build(
-        self,
-        filename: str,
-        source: str,
-        fetch_record: bool = False,
-        code: CodeObject | None = None,
-    ) -> "tuple[ScriptArtifact, bool]":
-        """Build one artifact; returns ``(artifact, frontend_skipped)``.
-
-        Passing ``code`` (from an already-published artifact) skips the
-        compile entirely — the record-upgrade path.
-        """
-        if code is not None:
-            self.code_cache.note_hit()
-            hit = True
-        else:
-            code, hit = self.compile(filename, source)
-        record = None
-        fetched = False
-        if fetch_record and self.record_store is not None:
-            record = self.record_store.get(filename, source)
-            fetched = True
+    def build(self, filename: str, source: str) -> "tuple[ScriptArtifact, bool]":
+        """Build one artifact; returns ``(artifact, frontend_skipped)``."""
+        code, hit = self.compile(filename, source)
         digest = source_hash(source)
-        key = f"{filename}:{digest}"
-        exec_code, generic_code, specialized = code, None, 0
-        if self.specialize and record is not None:
-            exec_code, generic_code, specialized = quicken_artifact_code(
-                code, key, record
-            )
         artifact = ScriptArtifact(
             filename=filename,
             source=source,
             source_hash=digest,
-            key=key,
-            code=exec_code,
-            record=record,
-            record_fetched=fetched,
-            generic_code=generic_code,
-            specialized_sites=specialized,
+            key=f"{filename}:{digest}",
+            code=code,
         )
         return artifact, hit
-
-
-def quicken_artifact_code(
-    code: CodeObject, key: str, record: "ICRecord"
-) -> "tuple[CodeObject, CodeObject | None, int]":
-    """Quicken one script's tree against a store-fetched record.
-
-    Returns ``(exec code, generic code or None, sites specialized)``.
-    The record must be structurally valid *and* trust-matched (the
-    artifact key appears in its ``script_keys``) — the same gate session
-    admission applies — else the generic tree is returned untouched.
-    Sessions consuming a pre-quickened artifact skip their own
-    quickening pass, so concurrent sessions share one immutable clone.
-    """
-    from repro.ric.icrecord import ICRecord
-    from repro.ric.validate import validate_record
-    from repro.specialize.quicken import quicken_code
-
-    if (
-        not isinstance(record, ICRecord)
-        or key not in record.script_keys
-        or not record.site_feedback
-        or validate_record(record)
-    ):
-        return code, None, 0
-    quickened, count = quicken_code(code, record.site_feedback)
-    if count == 0:
-        return code, None, 0
-    return quickened, code, count
 
 
 class _Flight:
@@ -214,165 +130,86 @@ class ArtifactCacheStats:
     hits: int = 0
     builds: int = 0
     joins: int = 0
-    record_fetches: int = 0
     extra: dict = field(default_factory=dict)
 
 
 class ArtifactCache:
-    """Thread-safe artifact cache with single-flight builds.
+    """Thread-safe artifact cache with single-flight compiles.
 
     One instance is shared by an engine's facade path, every concurrent
     executor session, and anything else that wants warm artifacts.  The
     invariant under concurrency: for one (filename, source hash), at
-    most one compile and at most one record-store GET are ever in
-    flight, no matter how many sessions cold-start it at once.  Flights
-    are keyed by script identity alone, so the invariant holds even when
-    code-only and record-fetching callers race: the record-upgrade
-    flight reuses the published code instead of recompiling.
+    most one compile is ever in flight, no matter how many sessions
+    cold-start it at once.
     """
 
     def __init__(self, builder: ArtifactBuilder):
         self.builder = builder
         self._entries: dict[str, ScriptArtifact] = {}
         self._flights: dict[str, _Flight] = {}
-        #: Keys whose pinned record went stale (a fresher one was
-        #: published); the next ``fetch_record`` get re-asks the store
-        #: under a record-upgrade flight instead of serving the entry.
-        self._stale_records: set[str] = set()
         self._lock = threading.Lock()
         self._hits = 0
         self._builds = 0
         self._joins = 0
-        self._record_fetches = 0
-
-    def _satisfies(
-        self, artifact: ScriptArtifact, want_record: bool, key: str
-    ) -> bool:
-        if want_record and key in self._stale_records:
-            return False
-        return artifact.record_fetched or not want_record
 
     def get_or_build(
-        self, filename: str, source: str, fetch_record: bool = False
+        self, filename: str, source: str
     ) -> "tuple[ScriptArtifact, bool]":
         """Return ``(artifact, frontend_skipped)`` for one script.
 
-        ``fetch_record=True`` guarantees the returned artifact has had a
-        record-store fetch attempted (performing one, once, if the cached
-        artifact was built without).  Exceptions from the underlying
-        build (e.g. :class:`~repro.lang.errors.JSLSyntaxError`) propagate
-        to the building thread *and* to every joiner of that flight;
-        failed builds are not cached, so a later call retries.
+        Exceptions from the underlying build (e.g.
+        :class:`~repro.lang.errors.JSLSyntaxError`) propagate to the
+        building thread *and* to every joiner of that flight; failed
+        builds are not cached, so a later call retries.
         """
         key = f"{filename}:{source_hash(source)}"
-        want_record = fetch_record and self.builder.record_store is not None
-        while True:
-            with self._lock:
-                artifact = self._entries.get(key)
-                if artifact is not None and self._satisfies(
-                    artifact, want_record, key
-                ):
-                    self._hits += 1
-                    self.builder.code_cache.note_hit()
-                    return artifact, True
-                flight = self._flights.get(key)
-                if flight is None:
-                    flight = _Flight()
-                    self._flights[key] = flight
-                    base = artifact  # None on a true cold start
-                    break  # this thread owns the build
-            # Another thread is building this script: join its flight.
+        with self._lock:
+            artifact = self._entries.get(key)
+            if artifact is not None:
+                self._hits += 1
+                self.builder.code_cache.note_hit()
+                return artifact, True
+            flight = self._flights.get(key)
+            leader = flight is None
+            if leader:
+                flight = self._flights[key] = _Flight()
+        if not leader:
+            # Another thread is compiling this script: join its flight.
             flight.event.wait()
             if flight.error is not None:
                 raise flight.error
-            published = flight.artifact
-            if published is not None and self._satisfies(
-                published, want_record, key
-            ):
-                with self._lock:
-                    self._joins += 1
-                self.builder.code_cache.note_hit()
-                return published, True
-            # The flight we joined didn't fetch the record we need (or
-            # resolved emptily); loop to upgrade it under a new flight.
-
-        return self._run_flight(key, flight, base, filename, source, want_record)
-
-    def _run_flight(
-        self,
-        key: str,
-        flight: _Flight,
-        base: "ScriptArtifact | None",
-        filename: str,
-        source: str,
-        want_record: bool,
-    ) -> "tuple[ScriptArtifact, bool]":
-        # Invariant on entry: either base is None (cold start: compile)
-        # or base lacks a fetched record and want_record is True
-        # (record-upgrade: reuse base's *generic* code, fetch only —
-        # re-specializing base's quickened clone against a newer record
-        # would stack stale typed ops under the new record's feedback).
-        try:
-            artifact, hit = self.builder.build(
-                filename,
-                source,
-                fetch_record=want_record,
-                code=(
-                    (base.generic_code or base.code)
-                    if base is not None
-                    else None
-                ),
-            )
             with self._lock:
-                self._entries[key] = artifact
-                self._builds += 1
-                if artifact.record_fetched:
-                    self._record_fetches += 1
-                    self._stale_records.discard(key)
-                flight.artifact = artifact
-                self._flights.pop(key, None)
-                flight.event.set()
-            return artifact, hit
+                self._joins += 1
+            self.builder.code_cache.note_hit()
+            return flight.artifact, True
+        try:
+            artifact, hit = self.builder.build(filename, source)
         except BaseException as exc:
             with self._lock:
                 flight.error = exc
                 self._flights.pop(key, None)
                 flight.event.set()
             raise
+        with self._lock:
+            self._entries[key] = artifact
+            self._builds += 1
+            flight.artifact = artifact
+            self._flights.pop(key, None)
+            flight.event.set()
+        return artifact, hit
 
     def get_many(
-        self,
-        scripts: "typing.Sequence[tuple[str, str]]",
-        fetch_record: bool = False,
+        self, scripts: "typing.Sequence[tuple[str, str]]"
     ) -> "list[tuple[ScriptArtifact, bool]]":
         """Artifacts for a whole workload, in script order."""
-        return [
-            self.get_or_build(filename, source, fetch_record=fetch_record)
-            for filename, source in scripts
-        ]
+        return [self.get_or_build(filename, source) for filename, source in scripts]
 
     def invalidate(self, filename: str, source: str) -> bool:
         """Drop one artifact entirely (source semantics changed, or tests
         forcing a rebuild).  Returns True if present."""
         key = f"{filename}:{source_hash(source)}"
         with self._lock:
-            self._stale_records.discard(key)
             return self._entries.pop(key, None) is not None
-
-    def refresh_record(self, filename: str, source: str) -> bool:
-        """Mark one artifact's pinned record stale — a fresher record was
-        published — without dropping the compiled artifact.  The next
-        ``fetch_record`` get runs a record-upgrade flight: one store GET,
-        no recompile, and any quickened code is rebuilt from the
-        artifact's *generic* tree against the new record (reapplying the
-        stale specialization would let demoted sites keep their typed
-        opcodes).  Returns True if an entry was marked."""
-        key = f"{filename}:{source_hash(source)}"
-        with self._lock:
-            if key not in self._entries:
-                return False
-            self._stale_records.add(key)
-            return True
 
     def stats(self) -> ArtifactCacheStats:
         with self._lock:
@@ -380,7 +217,6 @@ class ArtifactCache:
                 hits=self._hits,
                 builds=self._builds,
                 joins=self._joins,
-                record_fetches=self._record_fetches,
                 extra={"entries": len(self._entries)},
             )
 

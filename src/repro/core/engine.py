@@ -89,14 +89,7 @@ class Engine:
         self.record_store = record_store
         #: The shared artifact cache every run (facade or executor) of
         #: this engine draws from.
-        self.artifacts = ArtifactCache(
-            ArtifactBuilder(
-                self.code_cache,
-                optimize=optimize,
-                record_store=record_store,
-                specialize=self.config.specialize,
-            )
-        )
+        self.artifacts = ArtifactCache(ArtifactBuilder(self.code_cache, optimize))
         # Every execution gets a distinct sub-seed, so heap addresses differ
         # across runs even when the engine itself is seeded (which is the
         # whole premise of the paper).  Seeding the engine makes the
@@ -208,10 +201,6 @@ class Engine:
         """Session handle of the most recent (possibly aborted) run."""
         return self._last_run
 
-    @property
-    def _last_scripts(self) -> list:
-        return list(self._last_run.scripts) if self._last_run else []
-
     # -- record store traffic -----------------------------------------------
 
     def _store_roundtrip(self, counters: Counters, operation):
@@ -248,44 +237,29 @@ class Engine:
         published.  With a ``counters``, remote traffic is folded in."""
         if self.record_store is None:
             raise RuntimeError("engine has no record_store to publish into")
-        records = self.extract_per_script_records()
-        source_by_filename = {
-            filename: source for filename, source in self._last_scripts
-        }
-
-        def publish() -> int:
-            published = 0
-            for filename, record in records.items():
-                source = source_by_filename.get(filename)
-                if source is None:
-                    continue
-                self.record_store.put(filename, source, record)
-                # A cached artifact pinning the now-stale record must
-                # re-fetch (and re-quicken from its generic code) on the
-                # next record-wanting build.
-                self.artifacts.refresh_record(filename, source)
-                published += 1
-            return published
-
+        session = self._require_last_run()
         if counters is None:
             counters = Counters()  # throwaway sink; remote stats still tally
-        return self._store_roundtrip(counters, publish)
+        return self._store_roundtrip(
+            counters, lambda: session.publish_records(self.record_store)
+        )
 
     # -- extraction ---------------------------------------------------------
 
-    def extract_icrecord(self) -> ICRecord:
-        """Run the RIC extraction phase over the most recent execution."""
+    def _require_last_run(self) -> RunSession:
         if self._last_run is None:
             raise RuntimeError("no completed run to extract from; call run() first")
-        return self._last_run.extract_icrecord()
+        return self._last_run
+
+    def extract_icrecord(self) -> ICRecord:
+        """Run the RIC extraction phase over the most recent execution."""
+        return self._require_last_run().extract_icrecord()
 
     def extract_per_script_records(self) -> dict:
         """Per-file ICRecords from the most recent execution (paper §9:
         RIC information is maintained per JavaScript file and shareable
         across applications).  See :mod:`repro.ric.store`."""
-        if self._last_run is None:
-            raise RuntimeError("no completed run to extract from; call run() first")
-        return self._last_run.extract_per_script_records()
+        return self._require_last_run().extract_per_script_records()
 
     # -- the paper's full measurement protocol ------------------------------
 

@@ -7,18 +7,21 @@ instances that share exactly three things, all thread-safe by contract
 (INTERNALS §11) —
 
 * the engine's :class:`~repro.core.artifacts.ArtifactCache` (immutable
-  artifacts, single-flight builds: N concurrent cold starts of one
-  source cost one compile and at most one record-store GET);
+  compiled scripts, single-flight compiles: N concurrent cold starts of
+  one source cost one compile);
 * the :class:`~repro.bytecode.cache.CodeCache` beneath it (locked);
-* the engine's record store, when requests ask for one
-  (:class:`~repro.server.client.RemoteRecordStore` GETs are
-  single-flighted per script and its circuit breaker is shared, so a
-  dead daemon costs the *fleet* one timeout, not one per session).
+* the engine's record store, when requests ask for one: each such
+  request fetches its records with ``records_for``, as ``Engine.run``
+  does (:class:`~repro.server.client.RemoteRecordStore` GETs are
+  single-flighted per script and its circuit breaker is shared, so
+  concurrent requests share one GET per script and a dead daemon costs
+  the *fleet* one timeout, not one per session).
 
 Everything else — heap, hidden classes, feedback vectors, counters,
-reuse sessions, budgets — is per-session, so a session's results are
-bit-identical to the same request run solo (the concurrency stress
-suite enforces this differentially).
+reuse sessions, quickened code, budgets — is per-session, so a
+session's results are bit-identical to the same request run solo, and
+to ``Engine.run`` with the same seed and records (the concurrency
+stress suite enforces this differentially).
 
 Failure isolation: one session's guest error, abort, or even compile
 failure is captured in its :class:`RunOutcome`; the other sessions run
@@ -29,9 +32,8 @@ seed stream *at submission time, in request order* — so a seeded engine
 produces the same per-request seeds whatever the pool's interleaving.
 
 Per-run ``ric_remote_*`` counters are a sequential-only feature (they
-fold global store-stat deltas); under the executor, store-fetched
-records arrive pinned to artifacts instead and aggregate remote traffic
-stays available via ``record_store.status()``.
+fold global store-stat deltas); the executor leaves them at zero, and
+aggregate remote traffic stays available via ``record_store.status()``.
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ class RunRequest:
     #: Explicit sub-seed; None draws from the engine's seed stream at
     #: submission time (deterministic for a seeded engine).
     seed: "int | None" = None
-    #: Fetch this workload's records from the engine's record store and
-    #: pin them to the artifacts (at most one GET per script, fleet-wide).
+    #: Fetch this workload's records from the engine's record store
+    #: (one ``records_for`` per request, when ``icrecord`` is None);
+    #: the session admits and quickens them like explicit records.
     use_store: bool = False
     budget: "ExecutionBudget | None" = None
     cancel_token: "CancelToken | None" = None
@@ -134,19 +137,13 @@ class EngineExecutor:
         try:
             scripts = request.normalized_scripts()
             icrecord = request.icrecord
-            fetch = (
+            if (
                 request.use_store
                 and icrecord is None
                 and engine.record_store is not None
-            )
-            artifacts = engine.artifacts.get_many(scripts, fetch_record=fetch)
-            if fetch:
-                pinned = [
-                    artifact.record
-                    for artifact, _ in artifacts
-                    if artifact.record is not None
-                ]
-                icrecord = pinned or None
+            ):
+                icrecord = engine.record_store.records_for(scripts) or None
+            artifacts = engine.artifacts.get_many(scripts)
             session = RunSession(
                 artifacts,
                 config=engine.config,

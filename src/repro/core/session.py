@@ -4,24 +4,26 @@ A :class:`RunSession` is one execution of one workload.  It owns
 everything that must be private to a run — the
 :class:`~repro.runtime.context.Runtime` (heap, hidden classes, global
 object), the :class:`~repro.ic.icvector.FeedbackState` (IC vectors),
-the :class:`~repro.stats.counters.Counters`, the reuse session, and
-the budget — and consumes shared, immutable
+the :class:`~repro.stats.counters.Counters`, the reuse session, the
+quickened code, and the budget — and consumes shared, immutable
 :class:`~repro.core.artifacts.ScriptArtifact` instances for everything
 run-invariant.  Because a session touches no engine-global mutable
-state during :meth:`execute` (the code cache and record store are only
-consulted at artifact-build time, before the session exists), any
+state during :meth:`execute` (the code cache is consulted when
+artifacts are built, the record store before the session exists), any
 number of sessions over the same artifacts can run concurrently.
 
-The split mirrors the legacy ``Engine.run`` body exactly — same
-operation order, same counters, same abort semantics — so the facade's
-behaviour is byte-for-byte what it was when engine and session were one
-object.  Construction is the pre-flight (runtime creation, feedback
-registration, heap charges for bytecode, record admission, reuse-
-session wiring); :meth:`execute` is the measured run (builtins, VM,
-profile).  Extraction (:meth:`extract_icrecord`,
-:meth:`extract_per_script_records`) reads the session, so callers no
-longer reach into engine privates — the session *is* the "last run"
-handle the engine hands out.
+Construction is the pre-flight: runtime creation, record admission,
+quickening, feedback registration, heap charges for bytecode and
+reuse-session wiring.  It is the one place a record is admitted and
+code is quickened, whether the records came as ``icrecord=`` or from
+the record store: a trusted record's ``site_feedback`` rewrites a clone
+of the artifact's generic tree that belongs to this session alone, so
+the VM's deopt patches only that clone.  :meth:`execute` is the
+measured run (builtins, VM, profile).  Extraction
+(:meth:`extract_icrecord`, :meth:`extract_per_script_records`) and
+:meth:`publish_records` read the session, so callers never reach into
+engine privates — the session *is* the "last run" handle the engine
+hands out.
 """
 
 from __future__ import annotations
@@ -169,20 +171,16 @@ class RunSession:
                 is not None
             ]
 
-        # Pick each script's executable tree.  Artifacts quickened at
-        # build time (``generic_code`` set) are shared as-is across every
-        # consuming session; otherwise, when specialization is on and a
-        # trusted record carries feedback for this script, quicken a
-        # session-local clone now.  The generic tree always survives
-        # untouched — it is what deopt patches back, one site at a time.
+        # Pick each script's executable tree: when specialization is on
+        # and a trusted record carries feedback for this script, quicken
+        # a clone private to this session.  The artifact's generic tree
+        # is never touched; deopt patches the clone back, one site at a
+        # time.
         self.script_keys: list[str] = [a.key for a in self.artifacts]
         self.exec_codes = []
         for artifact in self.artifacts:
             code = artifact.code
-            if artifact.generic_code is not None:
-                if not config.specialize:
-                    code = artifact.generic_code
-            elif config.specialize and admitted:
+            if config.specialize and admitted:
                 trusted_records = [
                     record
                     for record in admitted
@@ -190,22 +188,16 @@ class RunSession:
                 ]
                 if trusted_records:
                     feedback_map = merge_site_feedback(trusted_records)
-                    code, _ = quicken_code(artifact.code, feedback_map)
+                    code, _ = quicken_code(code, feedback_map)
             self.exec_codes.append(code)
 
         # Register every script's feedback vectors *before* builtins are
         # created: builtin validation may preload sites anywhere in the
-        # workload.  Heap charges mirror what compilation would book
-        # (quickening is 1:1, so the charge is identical either way).
-        for code in self.exec_codes:
+        # workload.  The bytecode heap charge is the artifact's
+        # (quickening is 1:1, so a clone books the same bytes).
+        for artifact, code in zip(self.artifacts, self.exec_codes):
             self.feedback.register_script(code)
-            for nested in code.iter_code_objects():
-                self.runtime.heap.charge(
-                    "bytecode",
-                    16 * len(nested.instructions)
-                    + 8 * len(nested.constants)
-                    + 24 * len(nested.feedback_slots),
-                )
+            self.runtime.heap.charge("bytecode", artifact.bytecode_heap_bytes)
         counters_.specialized_sites = sum(
             count_specialized_sites(code) for code in self.exec_codes
         )
@@ -324,3 +316,17 @@ class RunSession:
             if filename in hash_by_filename:
                 record.script_keys = [hash_by_filename[filename]]
         return records
+
+    def publish_records(self, store) -> int:
+        """Extract this session's per-script records and put each into
+        ``store`` (any :class:`~repro.ric.store.RecordStoreProtocol`)
+        under the source it ran; returns how many were published."""
+        records = self.extract_per_script_records()
+        source_by_filename = dict(self.scripts)
+        published = 0
+        for filename, record in records.items():
+            source = source_by_filename.get(filename)
+            if source is not None:
+                store.put(filename, source, record)
+                published += 1
+        return published

@@ -500,11 +500,7 @@ def _run_jobs(args, engine, scripts, store, budget) -> int:
             if store is not None and outcome.session is not None:
                 # Publish this file's records so later invocations — or
                 # other processes sharing the daemon — start warm.
-                records = outcome.session.extract_per_script_records()
-                for (filename, source) in outcome.session.scripts:
-                    record = records.get(filename)
-                    if record is not None:
-                        engine.record_store.put(filename, source, record)
+                outcome.session.publish_records(engine.record_store)
             continue
         if isinstance(error, (JSLSyntaxError, JSLCompileError)):
             code = EXIT_PARSE

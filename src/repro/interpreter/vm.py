@@ -970,9 +970,9 @@ class VM:
         """Despecialize the site at ``pc - 1`` and run its generic form."""
         site_pc = pc - 1
         code = frame.code
-        # In-place single-element patches; safe under concurrent sharing
-        # (another VM mid-run keeps its own threaded snapshot and, if its
-        # guard also fails, re-applies the identical patch).
+        # In-place single-element patch.  The tree is this session's own
+        # quickened clone (core/session.py quickens per session; shared
+        # artifacts hold generic code), so no other run sees the patch.
         code.instructions[site_pc] = (int(generic_op), a, b)
         handler = self._dispatch[generic_op]
         threaded = self._threaded_cache.get(id(code))

@@ -174,7 +174,7 @@ class ICRecord:
     #: :class:`SiteFeedback` for arithmetic sites with a stable operand
     #: profile, persistently monomorphic property sites, and tombstoned
     #: thrash sites.  Spent by the quickening pass (repro/specialize/) at
-    #: artifact build; ignored by everything else.
+    #: session pre-flight; ignored by everything else.
     site_feedback: dict[str, SiteFeedback] = field(default_factory=dict)
     #: Extraction wall-clock time in milliseconds (paper §7.3).
     extraction_time_ms: float = 0.0

@@ -1,9 +1,10 @@
 """The quickening pass: rewrite generic bytecode into typed variants.
 
-Runs at artifact-build (or session pre-flight) time, never during
-execution.  Given a code tree and a trusted record's ``site_feedback``
-map, it produces a **clone** of the tree in which every site with a
-stable persisted profile carries its typed opcode:
+Runs at session pre-flight (:class:`~repro.core.session.RunSession`),
+never during execution.  Given a code tree and the merged
+``site_feedback`` of the run's admitted records, it produces a
+**clone** of the tree in which every site with a stable persisted
+profile carries its typed opcode:
 
 * ``BINARY ADD/SUB/MUL`` whose operand mask stayed within the numeric
   bits becomes ``ADD_INT`` (integral-only ADD) or ``ADD_NUM`` /
@@ -24,8 +25,9 @@ instruction list is fresh wherever a typed opcode landed (it is the one
 thing deopt mutates).  A tree with nothing to specialize is returned
 unchanged — callers can compare identity to detect a no-op.
 
-Quickened clones never enter the bytecode disk cache; they are derived
-state, rebuilt from (cached code, record) whenever either changes.
+Quickened clones never enter the bytecode disk cache or an artifact;
+each belongs to the one session that made it, rebuilt from (cached
+code, records) every run, so a deopt patches no other run's program.
 """
 
 from __future__ import annotations

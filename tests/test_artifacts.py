@@ -1,9 +1,9 @@
 """Concurrency stress tests for the artifact layer (INTERNALS §11).
 
 The load-bearing invariant is **single-flight**: when N sessions
-cold-start the same script concurrently, exactly one thread compiles and
-at most one record-store GET happens; everyone else blocks and shares
-the published :class:`~repro.core.artifacts.ScriptArtifact`.  These
+cold-start the same script concurrently, exactly one thread compiles;
+everyone else blocks and shares the published
+:class:`~repro.core.artifacts.ScriptArtifact`.  These
 tests drive that invariant directly with barriers so all contenders
 really do arrive at the cache at once, plus the counter-atomicity of
 the :class:`~repro.bytecode.cache.CodeCache` underneath.
@@ -76,8 +76,12 @@ class CountingStore:
     def put(self, filename, source, record):  # pragma: no cover - unused
         pass
 
-    def records_for(self, scripts):  # pragma: no cover - unused
-        return []
+    def records_for(self, scripts):
+        return [
+            record
+            for record in (self.get(filename, source) for filename, source in scripts)
+            if record is not None
+        ]
 
 
 class TestSingleFlight:
@@ -102,40 +106,6 @@ class TestSingleFlight:
         # paid the frontend, fifteen skipped it.
         assert engine.code_cache.misses == 1
         assert engine.code_cache.hits == THREADS - 1
-
-    def test_sixteen_concurrent_fetches_hit_store_once(self):
-        store = CountingStore()
-        cache = ArtifactCache(
-            ArtifactBuilder(CodeCache(), record_store=store)
-        )
-
-        results = _stampede(
-            lambda: cache.get_or_build("a.jsl", SOURCE, fetch_record=True)
-        )
-
-        assert store.gets == 1  # at most one GET per script, fleet-wide
-        assert all(artifact.record_fetched for artifact, _ in results)
-        assert cache.stats().record_fetches == 1
-
-    def test_record_upgrade_reuses_published_code(self, monkeypatch):
-        calls = _install_counting_compiler(monkeypatch, delay_s=0)
-        store = CountingStore()
-        cache = ArtifactCache(
-            ArtifactBuilder(CodeCache(), record_store=store)
-        )
-
-        base, _ = cache.get_or_build("a.jsl", SOURCE)
-        assert not base.record_fetched and store.gets == 0
-        upgraded, hit = cache.get_or_build("a.jsl", SOURCE, fetch_record=True)
-        assert hit  # the frontend was skipped: code came from the base
-        assert upgraded.code is base.code
-        assert upgraded.record_fetched
-        assert len(calls) == 1  # upgrade never recompiles
-        assert store.gets == 1
-
-        again, _ = cache.get_or_build("a.jsl", SOURCE, fetch_record=True)
-        assert again is upgraded  # now a pure hit
-        assert store.gets == 1
 
     def test_build_error_reaches_every_joiner_and_is_not_cached(self):
         cache = ArtifactCache(ArtifactBuilder(CodeCache()))
@@ -165,7 +135,7 @@ class TestArtifactImmutability:
     def test_artifact_fields_are_frozen(self, engine):
         artifact, _ = engine.artifacts.get_or_build("a.jsl", SOURCE)
         with pytest.raises(FrozenInstanceError):
-            artifact.record = object()
+            artifact.code = object()
         with pytest.raises(FrozenInstanceError):
             artifact.filename = "b.jsl"
 

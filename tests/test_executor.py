@@ -8,6 +8,8 @@ is compared counter-for-counter against its sequential twin (same
 seeds, same artifacts, same records).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.budget import ExecutionBudget
@@ -16,6 +18,9 @@ from repro.core.errors import BudgetExceeded, ExecutionAborted
 from repro.core.executor import EngineExecutor, RunRequest
 from repro.harness.bench import bench_workloads
 from repro.lang.errors import JSLRuntimeError, JSLSyntaxError
+from repro.ric.store import RecordStore
+from repro.specialize.quicken import count_specialized_sites
+from tests.test_specialize import APP_NUMERIC, APP_STRINGS, LIB
 
 SOURCE = """
 function T(v) { this.v = v; }
@@ -28,9 +33,12 @@ console.log("total", total);
 
 def _fingerprint(outcome):
     """Everything a run computes, as comparable data."""
-    profile = outcome.profile
+    return _profile_fingerprint(outcome.profile)
+
+
+def _profile_fingerprint(profile):
     return {
-        "counters": profile.counters.as_dict(),
+        "counters": dataclasses.asdict(profile.counters),
         "console": profile.console_output,
         "heap_bytes": profile.heap_bytes,
         "mode": profile.mode,
@@ -158,29 +166,29 @@ class TestSharedCaches:
         assert len(calls) == 1
         assert engine.artifacts.stats().builds == 1
 
-    def test_use_store_pins_one_fetch_per_script(self):
+    def test_use_store_fetches_once_per_request(self):
         from tests.test_artifacts import CountingStore
 
         warm = Engine(seed=9)
         warm.run([("a.jsl", SOURCE)], name="warm")
         record = warm.extract_icrecord()
+        scripts = [("a.jsl", SOURCE)]
+        requests = [
+            RunRequest(scripts=scripts, name=f"r{i}", use_store=True)
+            for i in range(8)
+        ]
 
-        store = CountingStore(record=record)
-        engine = Engine(seed=9, record_store=store)
-        outcomes = EngineExecutor(engine).run_many(
-            [
-                RunRequest(
-                    scripts=[("a.jsl", SOURCE)], name=f"r{i}", use_store=True
-                )
-                for i in range(8)
-            ],
-            jobs=4,
-        )
-        assert store.gets == 1  # one GET fleet-wide, pinned to the artifact
-        for outcome in outcomes:
-            assert outcome.ok
-            assert outcome.profile.mode == "reuse-ric"
-            assert outcome.profile.counters.ric_validations > 0
+        for jobs in (1, 4):
+            store = CountingStore(record=record)
+            engine = Engine(seed=9, record_store=store)
+            outcomes = EngineExecutor(engine).run_many(requests, jobs=jobs)
+            # One records_for per request, as Engine.run does; this store
+            # has no GET flights of its own, so every request costs a GET.
+            assert store.gets == len(requests) * len(scripts)
+            for outcome in outcomes:
+                assert outcome.ok
+                assert outcome.profile.mode == "reuse-ric"
+                assert outcome.profile.counters.ric_validations > 0
 
     def test_sessions_remain_extractable(self):
         engine = Engine(seed=13)
@@ -191,3 +199,78 @@ class TestSharedCaches:
         reused = engine.run([("a.jsl", SOURCE)], name="r", icrecord=record)
         assert reused.mode == "reuse-ric"
         assert reused.counters.ric_validations > 0
+
+
+class TestStoreRecordsPerRequest:
+    """A store-fetched record is quickened inside each session, never on
+    the shared artifact, so one request's deopt cannot rewrite the
+    program a later request runs.  The scenario is the deopt chain of
+    ``tests/test_specialize.py``: ``lib.jsl``'s record was trained under
+    a numeric application, and every request below runs it under one
+    that pushes strings through the same ``add`` site."""
+
+    SCRIPTS = [("lib.jsl", LIB), ("app2.jsl", APP_STRINGS)]
+    REQUESTS = 8
+
+    @staticmethod
+    def _trained_store() -> RecordStore:
+        trainer = Engine(seed=11, record_store=RecordStore())
+        trainer.run([("lib.jsl", LIB), ("app1.jsl", APP_NUMERIC)], name="train")
+        assert trainer.publish_records() == 2
+        return trainer.record_store
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_every_request_matches_engine_run(self, jobs):
+        store = self._trained_store()
+        reference = Engine(seed=1, record_store=store)
+        engine = Engine(seed=1, record_store=store)
+        # Warm both artifact caches, so every run below skips the
+        # frontend whichever pool thread reaches a script first.
+        reference.artifacts.get_many(self.SCRIPTS)
+        engine.artifacts.get_many(self.SCRIPTS)
+        seeds = [500 + index for index in range(self.REQUESTS)]
+
+        expected = [
+            reference.run(self.SCRIPTS, name=f"r{index}", seed=seed, use_store=True)
+            for index, seed in enumerate(seeds)
+        ]
+        outcomes = EngineExecutor(engine).run_many(
+            [
+                RunRequest(
+                    scripts=self.SCRIPTS,
+                    name=f"r{index}",
+                    seed=seed,
+                    use_store=True,
+                )
+                for index, seed in enumerate(seeds)
+            ],
+            jobs=jobs,
+        )
+
+        quickening = engine.config.specialize
+        for index, (want, outcome) in enumerate(zip(expected, outcomes), 1):
+            assert outcome.ok, f"request {index}: {outcome.error}"
+            assert want.mode == "reuse-ric"
+            assert want.counters.specialized_sites == int(quickening)
+            assert want.counters.deopts == int(quickening)
+            assert _profile_fingerprint(outcome.profile) == _profile_fingerprint(
+                want
+            ), f"request {index} differs from Engine.run"
+
+    @pytest.mark.parametrize(
+        "app, deopts", [(APP_STRINGS, 1), (APP_NUMERIC, 0)], ids=["deopt", "stable"]
+    )
+    def test_artifact_code_stays_generic(self, app, deopts):
+        engine = Engine(seed=1, record_store=self._trained_store())
+        scripts = [("lib.jsl", LIB), ("app.jsl", app)]
+        (outcome,) = EngineExecutor(engine).run_many(
+            [RunRequest(scripts=scripts, name="reuse", use_store=True)]
+        )
+        assert outcome.ok
+        quickening = int(engine.config.specialize)
+        assert outcome.profile.counters.specialized_sites == quickening
+        assert outcome.profile.counters.deopts == deopts * quickening
+        for filename, source in scripts:
+            artifact, _ = engine.artifacts.get_or_build(filename, source)
+            assert count_specialized_sites(artifact.code) == 0
+            assert artifact.code == Engine().compile(filename, source)

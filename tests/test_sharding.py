@@ -7,7 +7,10 @@ chaos walls live in ``tests/test_fleet_chaos.py``.
 """
 
 import socket
+import threading
+import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -129,6 +132,46 @@ class TestHashRing:
 
     def test_duplicate_endpoints_collapse(self):
         assert len(HashRing(["a", "a", "b"])) == 2
+
+
+class TestGetSingleFlight:
+    """Concurrent GETs of one script share one round trip.  Artifacts
+    hold no records, so this flight is what keeps a stampede of
+    ``use_store`` requests at one GET per script."""
+
+    THREADS = 16
+
+    def test_stampede_costs_one_remote_get(self, tmp_path, extracted):
+        store = RemoteRecordStore(
+            str(tmp_path / "unused.sock"), fallback=RecordStore(), retries=0
+        )
+        (client,) = store.clients.values()
+        record = extracted["lib.jsl"]
+        calls = []
+        lock = threading.Lock()
+
+        def counting_remote_get(filename, source):
+            with lock:
+                calls.append(filename)
+            time.sleep(0.005)
+            return "hit", record
+
+        client.remote_get = counting_remote_get
+        barrier = threading.Barrier(self.THREADS)
+
+        def get():
+            barrier.wait(timeout=10)
+            return store.get("lib.jsl", LIB_SOURCE)
+
+        with ThreadPoolExecutor(max_workers=self.THREADS) as pool:
+            futures = [pool.submit(get) for _ in range(self.THREADS)]
+            results = [future.result(timeout=10) for future in futures]
+
+        assert calls == ["lib.jsl"]
+        assert all(result is record for result in results)
+        # The leader counts its hit and every joiner counts the same
+        # outcome, so per-request accounting still sees sixteen hits.
+        assert store.stats["hits"] == self.THREADS
 
 
 class TestShardedRouting:

@@ -8,28 +8,23 @@ Covers every layer the subsystem touches, bottom-up:
   nested code objects, the ``spec_table``, prototype-store exclusion,
   tombstones, multi-record merge),
 * the v5 ``site_feedback`` wire section (round-trip, validation walls,
-  the build-time refusal of structurally damaged records),
+  the session's refusal to quicken from damaged or foreign records),
 * the run-time deopt chain — the acceptance scenario: train a library
   record under one application, reuse it under a *different* application
   that shape-shifts the site, watch the guard fail exactly once, the
   demotion persist as a tombstone, and the next reuse stay generic,
-* the stale-specialization lifecycle: a freshly published record marks
-  the cached artifact's pinned record stale, and the record-upgrade
-  flight rebuilds quickened code from the artifact's *generic* tree.
+* the stale-specialization lifecycle: every run fetches the record the
+  store holds now and quickens a session-private clone of the
+  artifact's *generic* tree, so a freshly published record takes effect
+  on the next run with no invalidation step.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.bytecode.cache import CodeCache
 from repro.bytecode.compiler import compile_source
 from repro.bytecode.opcodes import BinOp, Op
-from repro.core.artifacts import (
-    ArtifactBuilder,
-    ArtifactCache,
-    quicken_artifact_code,
-)
 from repro.core.config import RICConfig
 from repro.core.engine import Engine
 from repro.ric.icrecord import (
@@ -458,31 +453,38 @@ class TestSiteFeedbackWireFormat:
         problems = validate_record(record)
         assert any("offset" in p for p in problems)
 
-    def test_build_time_quickening_refuses_damaged_records(self):
+    def _run_with(self, record, name):
+        """One ``icrecord=`` run of the wire source; returns the profile
+        and whether the session executed the artifact's generic tree."""
         engine = Engine(config=RICConfig(specialize=True), seed=3)
-        source = TestQuickenProperties.SOURCE
-        engine.run([("app.jsl", source)], name="wire")
-        record = engine.extract_per_script_records()["app.jsl"]
-        code = engine.compile("app.jsl", source)
-        key = record.script_keys[0]
+        profile = engine.run(
+            [("app.jsl", TestQuickenProperties.SOURCE)], name=name, icrecord=record
+        )
+        session = engine.last_run
+        return profile, session.exec_codes[0] is session.artifacts[0].code
 
-        exec_code, generic, count = quicken_artifact_code(code, key, record)
-        assert count > 0 and generic is code
+    def _per_file_record(self) -> ICRecord:
+        engine = Engine(config=RICConfig(specialize=True), seed=3)
+        engine.run([("app.jsl", TestQuickenProperties.SOURCE)], name="wire")
+        return engine.extract_per_script_records()["app.jsl"]
+
+    def test_session_quickening_refuses_damaged_records(self):
+        record = self._per_file_record()
+        trusted, generic = self._run_with(record, "trusted")
+        assert trusted.counters.specialized_sites > 0 and not generic
+        assert trusted.counters.ric_records_rejected == 0
 
         record.site_feedback["bad"] = SiteFeedback(kind="vectorized")
-        exec_code, generic, count = quicken_artifact_code(code, key, record)
-        assert exec_code is code and generic is None and count == 0
+        damaged, generic = self._run_with(record, "damaged")
+        assert damaged.counters.ric_records_rejected == 1
+        assert damaged.counters.specialized_sites == 0 and generic
 
-    def test_build_time_quickening_requires_script_trust(self):
-        engine = Engine(config=RICConfig(specialize=True), seed=3)
-        source = TestQuickenProperties.SOURCE
-        engine.run([("app.jsl", source)], name="wire")
-        record = engine.extract_per_script_records()["app.jsl"]
-        code = engine.compile("app.jsl", source)
-        exec_code, generic, count = quicken_artifact_code(
-            code, "app.jsl:not-the-hash", record
-        )
-        assert exec_code is code and generic is None and count == 0
+    def test_session_quickening_requires_script_trust(self):
+        record = self._per_file_record()
+        record.script_keys = ["app.jsl:not-the-hash"]
+        foreign, generic = self._run_with(record, "foreign")
+        assert foreign.counters.ric_records_rejected == 0
+        assert foreign.counters.specialized_sites == 0 and generic
 
 
 # -- the deopt chain (acceptance) -----------------------------------------------
@@ -566,84 +568,64 @@ class TestDeoptChain:
 
 
 class TestStaleSpecialization:
-    """A record published after an artifact was built must not leave the
-    cached quickened code pinned to the old feedback: ``refresh_record``
-    marks it stale and the next fetch runs a record-upgrade flight that
-    rebuilds from the artifact's *generic* tree."""
+    """A record published after a script was compiled must not leave
+    later runs on the old feedback.  Artifacts hold generic code only;
+    each ``use_store`` run fetches the record the store holds now and
+    quickens a clone of the generic tree inside its session, so there is
+    nothing to invalidate."""
 
     SOURCE = TestQuickenProperties.SOURCE
+    SCRIPTS = [("app.jsl", SOURCE)]
 
     def _seed_record(self) -> ICRecord:
         engine = Engine(config=RICConfig(specialize=True), seed=7)
-        engine.run([("app.jsl", self.SOURCE)], name="seed")
+        engine.run(self.SCRIPTS, name="seed")
         return engine.extract_per_script_records()["app.jsl"]
 
-    def test_upgrade_flight_rebuilds_from_generic_code(self):
+    def test_tombstoned_record_quickens_nothing(self):
         record = self._seed_record()
         store = RecordStore()
         store.put("app.jsl", self.SOURCE, record)
-        cache = ArtifactCache(
-            ArtifactBuilder(CodeCache(), record_store=store, specialize=True)
+        engine = Engine(
+            config=RICConfig(specialize=True), record_store=store, seed=5
         )
 
-        first, _ = cache.get_or_build("app.jsl", self.SOURCE, fetch_record=True)
-        assert first.specialized_sites > 0
-        assert first.generic_code is not None
-        assert count_specialized_sites(first.code) == first.specialized_sites
-        assert count_specialized_sites(first.generic_code) == 0
+        first = engine.run(self.SCRIPTS, name="fresh", use_store=True)
+        quickened = engine.last_run.exec_codes[0]
+        generic = engine.last_run.artifacts[0].code
+        assert first.counters.specialized_sites > 0
+        assert count_specialized_sites(quickened) == first.counters.specialized_sites
+        assert count_specialized_sites(generic) == 0
 
-        # Publishing a fully tombstoned record alone changes nothing:
-        # artifacts are immutable and the cache still serves the old one.
+        # Publish a fully tombstoned record.  Nothing else is called: the
+        # next run fetches it and quickens from the generic tree, so
+        # every demoted site comes out generic.
         demoted = _clone_record(record)
         for key, fb in list(demoted.site_feedback.items()):
             demoted.site_feedback[key] = SiteFeedback(kind=fb.kind, mega=True)
         store.put("app.jsl", self.SOURCE, demoted)
-        assert cache.get_or_build(
-            "app.jsl", self.SOURCE, fetch_record=True
-        )[0] is first
 
-        # refresh_record is the signal: the next fetch re-asks the store
-        # and re-quickens from the generic tree — every demoted site
-        # comes out generic.
-        assert cache.refresh_record("app.jsl", self.SOURCE) is True
-        second, frontend_skipped = cache.get_or_build(
-            "app.jsl", self.SOURCE, fetch_record=True
-        )
-        assert frontend_skipped is True  # one store GET, no recompile
-        assert second is not first
-        assert second.code is first.generic_code
-        assert second.specialized_sites == 0
-        assert count_specialized_sites(second.code) == 0
-
-        # The stale flag is consumed: the upgraded artifact is now served.
-        assert cache.get_or_build(
-            "app.jsl", self.SOURCE, fetch_record=True
-        )[0] is second
-
-    def test_refresh_record_is_a_noop_for_unknown_artifacts(self):
-        cache = ArtifactCache(ArtifactBuilder(CodeCache()))
-        assert cache.refresh_record("ghost.jsl", "var x = 1;") is False
+        second = engine.run(self.SCRIPTS, name="demoted", use_store=True)
+        assert second.mode == "reuse-ric"
+        assert second.counters.bytecode_cache_hits == 1  # no recompile
+        assert second.counters.specialized_sites == 0
+        assert engine.last_run.exec_codes[0] is generic
 
     def test_publish_records_triggers_requickening(self):
-        """The engine-level wiring: ``publish_records`` marks every
-        published script stale, so a warm artifact picks up the fresh
-        feedback on its next record fetch."""
+        """Run, publish, run again: the second run quickens against the
+        record the first one published, on a clone of the cached tree."""
         store = RecordStore()
         engine = Engine(
             config=RICConfig(specialize=True), record_store=store, seed=5
         )
-        engine.run([("app.jsl", self.SOURCE)], name="w")
-
-        # Warm the artifact with a record fetch while the store is empty:
-        # nothing to specialize yet.
-        before = engine.artifacts.get_or_build(
-            "app.jsl", self.SOURCE, fetch_record=True
-        )[0]
-        assert before.specialized_sites == 0
+        before = engine.run(self.SCRIPTS, name="w", use_store=True)
+        assert before.mode == "initial"  # the store was empty
+        assert before.counters.specialized_sites == 0
 
         assert engine.publish_records() >= 1
-        after = engine.artifacts.get_or_build(
-            "app.jsl", self.SOURCE, fetch_record=True
-        )[0]
-        assert after.specialized_sites > 0
-        assert after.code is not before.code
+        after = engine.run(self.SCRIPTS, name="r", use_store=True)
+        assert after.mode == "reuse-ric"
+        assert after.counters.specialized_sites > 0
+        session = engine.last_run
+        assert session.exec_codes[0] is not session.artifacts[0].code
+        assert count_specialized_sites(session.artifacts[0].code) == 0
