@@ -83,14 +83,14 @@ def main() -> None:
                     f"+'{pair.transition_property}') -> HCID {pair.outgoing_hcid}"
                 )
     links = [
-        (row.hcid, dependent)
-        for row in record.hcvt
-        for dependent in row.dependents
+        (slot.hcid, site_key, slot.handler_id)
+        for site_key, slots in record.site_slots.items()
+        for slot in slots
     ]
     print(f"  dependent links:  {len(links)}")
-    for hcid, dependent in links[:8]:
-        handler = record.handlers[dependent.handler_id]
-        print(f"    HCID {hcid} -> preload {dependent.site_key} with {handler}")
+    for hcid, site_key, handler_id in links[:8]:
+        handler = record.handlers[handler_id]
+        print(f"    HCID {hcid} -> preload {site_key} with {handler}")
     print(f"  reusable handlers stored: {record.handlers}")
 
 

@@ -87,7 +87,7 @@ def field_mutation(data: bytes, rng: random.Random) -> bytes:
     payload = envelope["record"]
     mutations = []
     if payload.get("hcvt"):
-        mutations.append(lambda: payload["hcvt"][0].pop("dependents", None))
+        mutations.append(lambda: payload["hcvt"][0].pop("cd_dependent_sites", None))
         mutations.append(
             lambda: payload["hcvt"][-1].__setitem__("hcid", "not-an-int")
         )
@@ -125,26 +125,16 @@ def out_of_range_hcid(data: bytes, rng: random.Random) -> bytes:
 
 
 def out_of_range_handler_id(data: bytes, rng: random.Random) -> bytes:
-    """An HCVT dependent referencing a handler the store doesn't hold."""
+    """A ``site_slots`` link referencing a handler the store doesn't hold."""
     envelope = _unwrap(data)
     payload = envelope["record"]
     num_handlers = len(payload.get("handlers") or [])
     bogus = num_handlers + rng.randrange(1, 100)
-    for row in payload.get("hcvt") or []:
-        if row.get("dependents"):
-            row["dependents"][0][1] = bogus
-            break
+    site_slots = payload.get("site_slots")
+    if isinstance(site_slots, dict) and site_slots:
+        next(iter(site_slots.values()))[0][1] = bogus
     else:
-        if payload.get("hcvt"):
-            payload["hcvt"][0]["dependents"] = [["x.jsl:1:1:named_load", bogus]]
-        else:
-            payload["hcvt"] = [
-                {
-                    "hcid": 0,
-                    "dependents": [["x.jsl:1:1:named_load", bogus]],
-                    "cd_dependent_sites": [],
-                }
-            ]
+        payload["site_slots"] = {"x.jsl:1:1:named_load": [[0, bogus]]}
     return _rewrap(envelope)
 
 

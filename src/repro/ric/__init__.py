@@ -13,7 +13,7 @@ failures raise the single typed :class:`RecordFormatError`.
 
 from repro.ric.errors import CorruptRecord, RecordFormatError
 from repro.ric.extraction import extract_icrecord
-from repro.ric.icrecord import DependentEntry, HCVTRow, ICRecord, ToastPair
+from repro.ric.icrecord import HCVTRow, ICRecord, ToastPair
 from repro.ric.reuse import ReuseSession
 from repro.ric.store import (
     RecordStore,
@@ -36,7 +36,6 @@ from repro.ric.validate import check_record, validate_record
 
 __all__ = [
     "CorruptRecord",
-    "DependentEntry",
     "RecordFormatError",
     "RecordStore",
     "RecordStoreProtocol",

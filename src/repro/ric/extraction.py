@@ -8,8 +8,9 @@ sources:
    name, constructor key, or triggering site) — to build the TOAST and
    assign HCIDs; and
 2. the final :class:`~repro.ic.icvector.FeedbackState` (the ICVectors) — to
-   find, for each hidden class, the sites that encountered it and the
-   handlers they used, which become the HCVT's Dependent lists.
+   find, for each site, the hidden classes it encountered and the
+   handlers it used, which become the record's one link table,
+   ``site_slots`` (each slot is one Dependent link of the paper's HCVT).
 
 One routine, :func:`_extract`, builds both record kinds.  They differ
 only in which hidden classes become HCVT rows and which sites are read:
@@ -46,7 +47,6 @@ from repro.ic.icvector import FeedbackState, ICSite, ICStates
 from repro.ric.icrecord import (
     FEEDBACK_PROP_LOAD,
     FEEDBACK_PROP_STORE,
-    DependentEntry,
     HCVTRow,
     ICRecord,
     SiteFeedback,
@@ -200,7 +200,7 @@ def _extract(
         if kept:
             record.toast[key] = kept
 
-    # ---- HCVT dependents (scan the ICVectors) ----------------------------------
+    # ---- site_slots: the Dependent links (scan the ICVectors) ------------------
     handler_ids: dict[str, int] = {}
 
     def intern_handler(serialized: dict) -> int:
@@ -218,31 +218,26 @@ def _extract(
             continue  # keyed + global sites are not linked (paper §6)
         if filename is not None and info.position.filename != filename:
             continue
-        # site.slots is in final probe (MRU) order; persist it in that
-        # order so a Reuse run's warmed site probes hottest-shape-first
-        # (record.site_slots, format v4).  Megamorphic sites hold no
-        # slots and thus persist nothing — they re-learn, by design.
-        # Shapes without a row here (another file's) drop out: a
-        # per-file record persists the polymorphic degree its file can
-        # re-validate on its own.
+        # site.slots is in final probe (MRU) order, and is persisted in
+        # that order.  Megamorphic sites hold no slots and thus persist
+        # nothing — they re-learn, by design.  Shapes without a row here
+        # (another file's) drop out: a per-file record persists the
+        # polymorphic degree its file can re-validate on its own.
         slot_entries: list[SiteSlot] = []
         for hc, handler in site.slots:
             local = local_id.get(hc.index)
             if local is None or local in excluded:
                 continue
-            row = record.hcvt[local]
             if handler.is_context_independent:
                 serialized = handler.serialize()
                 assert serialized is not None
-                handler_id = intern_handler(serialized)
-                row.dependents.append(DependentEntry(info.site_key, handler_id))
-                slot_entries.append(SiteSlot(local, handler_id))
+                slot_entries.append(SiteSlot(local, intern_handler(serialized)))
             elif not isinstance(handler, StoreTransitionHandler):
                 # Context-dependent non-transitioning handler: RIC cannot
                 # preload this site, and its Reuse miss is attributed to the
                 # "Handler" bucket of Table 4.  Transitioning stores are the
                 # Triggering sites themselves ("Other" by construction).
-                row.cd_dependent_sites.append(info.site_key)
+                record.hcvt[local].cd_dependent_sites.append(info.site_key)
         if slot_entries:
             record.site_slots[info.site_key] = slot_entries
         feedback_entry = prop_site_feedback(site, slot_entries)

@@ -5,16 +5,18 @@ after an Initial run and consumed by Reuse runs:
 
 * **HCVT** (Hidden Class Validation Table): one row per hidden class of the
   Initial run, identified by a small integer ``hcid`` (creation order).
-  Each row lists the Dependent sites to preload once the hidden class is
-  validated, with the reusable handler to install.  The runtime fields of
-  the paper's HCVT (``HCAddr``, ``V``) live in the Reuse session, not here —
-  they are per-execution by definition.
+  The paper's row lists the Dependent sites to preload once the hidden
+  class is validated; here those links are stored once, per site, in
+  ``ICRecord.site_slots``, and the Reuse session builds the per-class view
+  from them once per run.  The runtime fields of the paper's HCVT
+  (``HCAddr``, ``V``) live in the Reuse session, not here — they are
+  per-execution by definition.
 * **TOAST** (Triggering Object Access Site Table): keyed by the stable
   identity of whatever creates hidden classes — a triggering object access
   site (file:line:col), a builtin name, or a constructor key — mapping to
   ``(incoming hcid, transition property, outgoing hcid)`` entries.
 * **handler store**: deduplicated serialized context-independent handlers,
-  referenced by index from HCVT dependent entries.
+  referenced by index from ``site_slots`` entries.
 
 Everything in this module is context-independent plain data; nothing here
 ever holds a heap address.
@@ -42,26 +44,19 @@ def filename_of_creation_key(key: str) -> str | None:
     return parts[0]
 
 
-@dataclass(frozen=True)
-class DependentEntry:
-    """One (Dependent site, handler) tuple of an HCVT row."""
-
-    site_key: str
-    handler_id: int
-
-
 @dataclass
 class HCVTRow:
     """Static part of one HCVT entry (paper Figure 6a).
 
-    ``cd_dependent_sites`` are sites that encountered this hidden class but
-    whose handler was context-dependent (other than transitioning stores):
-    RIC cannot preload them, and their Reuse-run misses are attributed to
-    Table 4's "Handler" column.
+    The row's preloadable Dependent sites are not stored here: each
+    (site, hidden class, handler) link is a :class:`SiteSlot` of
+    ``ICRecord.site_slots``.  ``cd_dependent_sites`` are sites that
+    encountered this hidden class but whose handler was context-dependent
+    (other than transitioning stores): RIC cannot preload them, and their
+    Reuse-run misses are attributed to Table 4's "Handler" column.
     """
 
     hcid: int
-    dependents: list[DependentEntry] = field(default_factory=list)
     cd_dependent_sites: list[str] = field(default_factory=list)
 
 
@@ -70,10 +65,11 @@ class SiteSlot:
     """One persisted ICVector slot: ``(hidden class, handler)`` by id.
 
     ``hcid`` is record-local (an HCVT row index), ``handler_id`` indexes
-    the record's handler store.  A site's slot list is stored in the
-    probe (MRU) order the Initial run converged on, capped at
-    ``POLY_LIMIT`` entries — the persisted form of a MONO or POLY
-    ICVector site (format v4; see ``ICRecord.site_slots``).
+    the record's handler store.  Each slot is one Dependent link of the
+    paper's HCVT: once ``hcid`` is validated, its site is preloaded with
+    the handler.  A site's slot list is stored in the probe (MRU) order
+    the Initial run ended with, capped at ``POLY_LIMIT`` entries (see
+    ``ICRecord.site_slots``).
     """
 
     hcid: int
@@ -161,14 +157,13 @@ class ICRecord:
     toast: dict[str, list[ToastPair]] = field(default_factory=dict)
     #: Deduplicated context-independent handlers (serialized form).
     handlers: list[dict] = field(default_factory=list)
-    #: Per-site ordered slot sets (format v4): ``site_key -> [SiteSlot,
+    #: The record's one link table (format v6): ``site_key -> [SiteSlot,
     #: ...]`` for every named load/store site that ended the Initial run
-    #: with at least one context-independent slot.  ``hcvt[...].dependents``
-    #: remains the per-hidden-class preload index (each (site, hc,
-    #: handler) link appears there too); this table adds the *per-site*
-    #: view — polymorphic degree and converged probe order — which reuse
-    #: applies after preloading so a warmed site probes in the same order
-    #: it did at extraction time.
+    #: with at least one context-independent slot, in site order.  Every
+    #: (site, hidden class, handler) Dependent link is stored here, once;
+    #: :class:`~repro.ric.reuse.ReuseSession` groups the links by hcid
+    #: when a run starts, so a validated hidden class preloads its sites
+    #: in site order.
     site_slots: dict[str, list[SiteSlot]] = field(default_factory=dict)
     #: Per-site type feedback (format v5): ``feedback key ->``
     #: :class:`SiteFeedback` for arithmetic sites with a stable operand
@@ -179,16 +174,13 @@ class ICRecord:
     #: Extraction wall-clock time in milliseconds (paper §7.3).
     extraction_time_ms: float = 0.0
 
-    def row(self, hcid: int) -> HCVTRow:
-        return self.hcvt[hcid]
-
     @property
     def num_hidden_classes(self) -> int:
         return len(self.hcvt)
 
     @property
     def num_dependent_links(self) -> int:
-        return sum(len(row.dependents) for row in self.hcvt)
+        return sum(len(slots) for slots in self.site_slots.values())
 
     def stats(self) -> dict:
         """Summary counts used by reports and tests."""
@@ -204,9 +196,6 @@ class ICRecord:
             "slot_sites": len(self.site_slots),
             "poly_slot_sites": sum(
                 1 for slots in self.site_slots.values() if len(slots) > 1
-            ),
-            "site_slot_entries": sum(
-                len(slots) for slots in self.site_slots.values()
             ),
             "feedback_sites": len(self.site_feedback),
             "feedback_tombstones": sum(

@@ -16,9 +16,13 @@ the run, and for each record:
 
 Validation of hidden class ``h`` preloads the ICVector slots of all of
 ``h``'s Dependent sites with (``h``'s address, saved handler) — averting
-the IC miss each of those sites would otherwise take.  If validation fails
-(the Reuse run diverged from the Initial run, Figure 7(e)), nothing is
-preloaded and execution proceeds correctly, just without the speedup.
+the IC miss each of those sites would otherwise take.  The session reads
+each record's link table (``ICRecord.site_slots``) once, when the run
+starts, into the paper's per-class view: hcid -> [(site, handler id)], in
+site order, holding only links to sites this run loaded from
+content-matched files.  If validation fails (the Reuse run diverged from
+the Initial run, Figure 7(e)), nothing is preloaded and execution
+proceeds correctly, just without the speedup.
 """
 
 from __future__ import annotations
@@ -52,10 +56,9 @@ class ReuseSession:
         "_valid_files",
         "_toast_index",
         "address_by_hcid",
-        "_hcid_by_address",
+        "_links",
         "_cd_sites_by_address",
         "_handler_caches",
-        "_slot_plans",
     )
 
     def __init__(
@@ -73,7 +76,7 @@ class ReuseSession:
         self.counters = counters
         self.config = config or RICConfig()
         # Content-identity gate: a record's file-bound information (site
-        # transitions, constructor classes, dependents) is only valid for
+        # transitions, constructor classes, links) is only valid for
         # files whose *content* matches the one the record was extracted
         # from — same discipline as the bytecode cache.  Source positions
         # alone are not identity: two different scripts can share a
@@ -102,32 +105,43 @@ class ReuseSession:
         #: Per record: hcid -> address of the hidden class validated for it
         #: this run (HCAddr).  A key is the V bit.
         self.address_by_hcid: list[dict[int, int]] = [{} for _ in records]
-        #: Per record: address -> hcid, for the recorded slot order.
-        self._hcid_by_address: list[dict[int, int]] = [{} for _ in records]
+        #: Per record: hcid -> [(site, handler id)], the Dependent links
+        #: a validation of that hidden class preloads, in site order.
+        self._links: list[dict[int, list[tuple[ICSite, int]]]] = [
+            self._resolve_links(index, record) if self.config.enable_linking else {}
+            for index, record in enumerate(records)
+        ]
         #: Address of a validated hidden class -> the site keys whose
         #: handler for it was context-dependent in a record, for Table 4
         #: "Handler" attribution.
         self._cd_sites_by_address: dict[int, set[str]] = {}
         #: Per record: materialized handlers, by handler_id (lazy).
         self._handler_caches: list[dict[int, Handler]] = [{} for _ in records]
-        #: Per record, the recorded probe order per site (format v4
-        #: ``site_slots``): site_key -> {hcid: position}.  As a
-        #: polymorphic site's slots preload one hidden class at a time (in
-        #: whatever order this run happens to validate them),
-        #: :meth:`_preload` re-sorts the preloaded slots to this recorded
-        #: order, so a warmed site starts probing hottest-shape-first
-        #: exactly as the Initial run left it.  Slot order never affects
-        #: results or counters (the probe charge is flat) — only which
-        #: compare hits first.
-        self._slot_plans: list[dict[str, dict[int, int]]] = [
-            {
-                site_key: {
-                    slot.hcid: position for position, slot in enumerate(slots)
-                }
-                for site_key, slots in record.site_slots.items()
-            }
-            for record in records
-        ]
+
+    def _resolve_links(
+        self, index: int, record: ICRecord
+    ) -> "dict[int, list[tuple[ICSite, int]]]":
+        """Group record ``index``'s ``site_slots`` by hcid, keeping only
+        the sites it may preload in this run."""
+        valid_files = None if self._valid_files is None else self._valid_files[index]
+        feedback = self.feedback
+        links: dict[int, list[tuple[ICSite, int]]] = {}
+        for site_key, slots in record.site_slots.items():
+            if valid_files is not None:
+                owner = filename_of_creation_key(site_key)
+                if owner is not None and owner not in valid_files:
+                    continue  # site belongs to a changed/unknown script
+            site = feedback.site_by_key(site_key)
+            if site is None:
+                continue  # site's script not loaded in this run
+            if not site.info.reusable:
+                # A global or keyed site, which extraction never links:
+                # the VM's inline probes there trust that every slot holds
+                # a handler their own miss path installed.
+                continue
+            for slot in slots:
+                links.setdefault(slot.hcid, []).append((site, slot.handler_id))
+        return links
 
     # -- hook wired into HiddenClassRegistry.on_created ------------------------
 
@@ -186,14 +200,6 @@ class ReuseSession:
                 RIC_DIVERGENCE, site_key=hc.creation_key, hc_index=hc.index
             )
 
-    def _file_trusted(self, index: int, key: str) -> bool:
-        """Whether record ``index``'s file-bound information for ``key``
-        may be used."""
-        if self._valid_files is None:
-            return True
-        owner = filename_of_creation_key(key)
-        return owner is None or owner in self._valid_files[index]
-
     def _naive_match(self, index: int, record: ICRecord, hc: HiddenClass) -> None:
         """The unsound ablation: trust creation order, skip validation."""
         if hc.index < len(record.hcvt):
@@ -210,26 +216,13 @@ class ReuseSession:
                 RIC_VALIDATED, hc_index=hc.index, detail=f"hcid={hcid}"
             )
         self.address_by_hcid[index][hcid] = hc.address
-        self._hcid_by_address[index][hc.address] = hcid
-        row = self.records[index].hcvt[hcid]
-        if row.cd_dependent_sites:
+        cd_sites = self.records[index].hcvt[hcid].cd_dependent_sites
+        if cd_sites:
             self._cd_sites_by_address.setdefault(hc.address, set()).update(
-                row.cd_dependent_sites
+                cd_sites
             )
-        if not self.config.enable_linking:
-            return
-        for dependent in row.dependents:
-            if not self._file_trusted(index, dependent.site_key):
-                continue  # dependent belongs to a changed/unknown script
-            site = self.feedback.site_by_key(dependent.site_key)
-            if site is None:
-                continue  # site's script not loaded in this run
-            if not site.info.reusable:
-                # A global or keyed site, which extraction never links:
-                # the VM's inline probes there trust that every slot holds
-                # a handler their own miss path installed.
-                continue
-            self._preload(index, site, hc, dependent.handler_id)
+        for site, handler_id in self._links[index].get(hcid, ()):
+            self._preload(index, site, hc, handler_id)
 
     def _preload(
         self, index: int, site: ICSite, hc: HiddenClass, handler_id: int
@@ -262,7 +255,6 @@ class ReuseSession:
         if site.state is ICStates.POLYMORPHIC and before is not ICStates.POLYMORPHIC:
             self.counters.ic_poly_transitions += 1
         self.counters.ric_preloads += 1
-        self._apply_slot_plan(index, site)
         if self.tracer is not None:
             from repro.stats.tracing import RIC_PRELOADED
 
@@ -272,27 +264,6 @@ class ReuseSession:
                 hc_index=hc.index,
                 detail=handler.describe(),
             )
-
-    def _apply_slot_plan(self, index: int, site: ICSite) -> None:
-        """Restore record ``index``'s probe order on a fully-preloaded site.
-
-        Only applied while *every* slot is a preload: once the run
-        installs anything organically, MRU reordering owns the site and
-        imposing extraction-time order would fight it.
-        """
-        plan = self._slot_plans[index].get(site.info.site_key)
-        slots = site.slots
-        if plan is None or len(slots) < 2:
-            return
-        preloaded = site.preloaded_addresses
-        if any(entry[0].address not in preloaded for entry in slots):
-            return
-        hcid_of = self._hcid_by_address[index]
-        slots.sort(
-            key=lambda entry: plan.get(
-                hcid_of.get(entry[0].address, -1), POLY_LIMIT
-            )
-        )
 
     def _materialize_handler(self, index: int, handler_id: int) -> Handler:
         cache = self._handler_caches[index]

@@ -9,7 +9,7 @@ Because a *later* execution acts on this artifact, the on-disk form is a
 hardened envelope around the payload::
 
     {"checksum": "<sha256 of canonical payload JSON>",
-     "record": {"version": 4, "script_keys": [...], ...}}
+     "record": {"version": 6, "script_keys": [...], ...}}
 
 * the **checksum** rejects truncation, bit-flips, and hand-edits;
 * the **format version** (inside the payload, covered by the checksum)
@@ -36,7 +36,6 @@ from repro.ric.icrecord import (
     FEEDBACK_ARITH,
     FEEDBACK_PROP_LOAD,
     FEEDBACK_PROP_STORE,
-    DependentEntry,
     HCVTRow,
     ICRecord,
     SiteFeedback,
@@ -49,10 +48,12 @@ from repro.ric.icrecord import (
 #: ordered slot sets (``site_slots``) — persisted polymorphic ICVector
 #: state, ``site_key -> [[hcid, handler_id], ...]`` capped at POLY_LIMIT.
 #: v5: per-site type feedback (``site_feedback``) — spent by the
-#: quickening pass; v4 records (pre-feedback) are refused like any other
-#: version mismatch and re-extracted.  The wire form is deduplicated and
-#: compact (§7.3 bounds the record at <5% of the workload heap, and the
-#: naive 6-tuple-per-site encoding blew that budget on reactlike):
+#: quickening pass.  v6: ``site_slots`` is the one link table; HCVT rows
+#: no longer repeat each link as ``dependents``.  Older records are
+#: refused like any other version mismatch and re-extracted.  The wire
+#: form is deduplicated and compact (§7.3 bounds the record at <5% of the
+#: workload heap, and the naive 6-tuple-per-site encoding blew that
+#: budget on reactlike):
 #:
 #: * monomorphic property feedback is *not* written at all when it is
 #:   byte-for-byte derivable from ``site_slots`` + the handler table
@@ -65,7 +66,7 @@ from repro.ric.icrecord import (
 #:   ``[0, op, types]`` an arith entry, ``[1|2, hcid, offset]`` a
 #:   non-derivable property entry (kinds are small ints on the wire:
 #:   0=arith, 1=prop_load, 2=prop_store).
-ICRECORD_FORMAT_VERSION = 5
+ICRECORD_FORMAT_VERSION = 6
 
 #: Wire encoding of feedback kinds (strings in memory, ints on disk).
 _FEEDBACK_KIND_TO_WIRE = {
@@ -180,13 +181,7 @@ def record_to_json(record: ICRecord) -> dict:
         "version": ICRECORD_FORMAT_VERSION,
         "script_keys": record.script_keys,
         "hcvt": [
-            {
-                "hcid": row.hcid,
-                "dependents": [
-                    [entry.site_key, entry.handler_id] for entry in row.dependents
-                ],
-                "cd_dependent_sites": row.cd_dependent_sites,
-            }
+            {"hcid": row.hcid, "cd_dependent_sites": row.cd_dependent_sites}
             for row in record.hcvt
         ],
         "toast": {
@@ -228,14 +223,7 @@ def record_from_json(data: dict) -> ICRecord:
         # _feedback_from_wire).
         record = ICRecord(script_keys=list(data["script_keys"]))
         record.hcvt = [
-            HCVTRow(
-                hcid=row["hcid"],
-                dependents=[
-                    DependentEntry(site_key, handler_id)
-                    for site_key, handler_id in row["dependents"]
-                ],
-                cd_dependent_sites=list(row["cd_dependent_sites"]),
-            )
+            HCVTRow(row["hcid"], list(row["cd_dependent_sites"]))
             for row in data["hcvt"]
         ]
         record.toast = {

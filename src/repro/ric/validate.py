@@ -79,7 +79,7 @@ def validate_record(record: ICRecord) -> list[str]:
     else:
         problems.append("handlers must be a list")
 
-    # -- HCVT: dense local hcids, in-range handler ids -----------------------
+    # -- HCVT: dense local hcids ---------------------------------------------
     if isinstance(record.hcvt, list):
         for position, row in enumerate(record.hcvt):
             if not isinstance(getattr(row, "hcid", None), int) or row.hcid != position:
@@ -87,21 +87,6 @@ def validate_record(record: ICRecord) -> list[str]:
                     f"hcvt row {position} has non-dense hcid "
                     f"{getattr(row, 'hcid', None)!r}"
                 )
-            for entry in row.dependents:
-                if not isinstance(entry.site_key, str):
-                    problems.append(
-                        f"hcvt row {position} dependent site_key is not a string"
-                    )
-                handler_id = entry.handler_id
-                if (
-                    not isinstance(handler_id, int)
-                    or isinstance(handler_id, bool)
-                    or not 0 <= handler_id < num_handlers
-                ):
-                    problems.append(
-                        f"hcvt row {position} references handler "
-                        f"{handler_id!r} outside [0, {num_handlers})"
-                    )
             for site_key in row.cd_dependent_sites:
                 if not isinstance(site_key, str):
                     problems.append(
@@ -145,7 +130,7 @@ def validate_record(record: ICRecord) -> list[str]:
     else:
         problems.append("toast must be a dict")
 
-    # -- site_slots (v4): bounded, duplicate-free, in-range slot lists ------
+    # -- site_slots, the link table: bounded, duplicate-free, in range -----
     if isinstance(record.site_slots, dict):
         for site_key, slots in record.site_slots.items():
             if not isinstance(site_key, str):

@@ -19,7 +19,7 @@ import re
 import time
 import typing
 
-from repro.lang.errors import JSLTypeError
+from repro.lang.errors import JSLRangeError, JSLTypeError
 from repro.runtime.context import Runtime
 from repro.runtime.objects import JSArray, JSFunction, JSObject
 from repro.runtime.values import (
@@ -29,13 +29,16 @@ from repro.runtime.values import (
     UNDEFINED,
     element_index,
     integer_to_number,
+    number_exponentiate,
     number_to_string,
     to_array_length,
     to_boolean,
     to_int32,
+    to_integer_or_infinity,
     to_number,
     to_property_key,
     to_string,
+    to_uint32,
 )
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -67,6 +70,14 @@ GLOBAL_LAYOUT = [
     "NaN",
     "Infinity",
 ]
+
+
+def _integer_arg(args: list, index: int, default: "int | float" = 0) -> "int | float":
+    """ToIntegerOrInfinity of ``args[index]``, or ``default`` when the
+    argument is absent or undefined."""
+    if len(args) > index and args[index] is not UNDEFINED:
+        return to_integer_or_infinity(args[index])
+    return default
 
 
 def install_builtins(runtime: Runtime) -> None:
@@ -424,8 +435,8 @@ def install_builtins(runtime: Runtime) -> None:
     def array_slice(vm: "VM", this: object, args: list) -> object:
         array = _require_array(this, "slice")
         length = len(array.array_elements)
-        start = int(to_number(args[0])) if args else 0
-        end = int(to_number(args[1])) if len(args) > 1 and args[1] is not UNDEFINED else length
+        start = _integer_arg(args, 0)
+        end = _integer_arg(args, 1, length)
         if start < 0:
             start += length
         if end < 0:
@@ -608,7 +619,7 @@ def install_builtins(runtime: Runtime) -> None:
     string_fn = native("String", string_ctor, ctor=True, arity=1)
 
     def string_from_char_code(vm: "VM", this: object, args: list) -> object:
-        return "".join(chr(int(to_number(arg))) for arg in args)
+        return "".join(chr(to_uint32(arg) & 0xFFFF) for arg in args)
 
     _set_native_member(
         runtime, string_fn, "fromCharCode", native("fromCharCode", string_from_char_code, arity=1)
@@ -647,7 +658,7 @@ def install_builtins(runtime: Runtime) -> None:
         vm.charge_native()
         base = to_number(args[0]) if args else float("nan")
         exponent = to_number(args[1]) if len(args) > 1 else float("nan")
-        return float(base**exponent)
+        return number_exponentiate(base, exponent)
 
     def math_min(vm: "VM", this: object, args: list) -> object:
         vm.charge_native(len(args))
@@ -662,13 +673,15 @@ def install_builtins(runtime: Runtime) -> None:
     def math_random(vm: "VM", this: object, args: list) -> object:
         return vm.runtime.rng.random()
 
-    def _js_round(value: float) -> float:
-        return math.floor(value + 0.5)
+    def integral(fn):
+        """An integer-valued Math function: NaN and the infinities come
+        back unchanged, where Python's rounding functions raise."""
+        return lambda value: fn(value) if math.isfinite(value) else value
 
     math_object.slots[0] = math_unary("abs", abs)
-    math_object.slots[1] = math_unary("floor", math.floor)
-    math_object.slots[2] = math_unary("ceil", math.ceil)
-    math_object.slots[3] = math_unary("round", _js_round)
+    math_object.slots[1] = math_unary("floor", integral(math.floor))
+    math_object.slots[2] = math_unary("ceil", integral(math.ceil))
+    math_object.slots[3] = math_unary("round", integral(lambda value: math.floor(value + 0.5)))
     math_object.slots[4] = math_unary("sqrt", lambda value: math.sqrt(value) if value >= 0 else float("nan"))
     math_object.slots[5] = native("pow", math_pow, arity=2)
     math_object.slots[6] = native("min", math_min, arity=2)
@@ -683,6 +696,12 @@ def install_builtins(runtime: Runtime) -> None:
         x = to_number(args[1]) if len(args) > 1 else float("nan")
         return math.atan2(y, x)
 
+    def _js_exp(value: float) -> float:
+        try:
+            return math.exp(value)
+        except OverflowError:
+            return math.inf
+
     def _js_sign(value: float) -> float:
         if value != value:
             return float("nan")
@@ -695,11 +714,11 @@ def install_builtins(runtime: Runtime) -> None:
     math_object.slots[11] = math_unary(
         "log", lambda v: math.log(v) if v > 0 else (float("-inf") if v == 0 else float("nan"))
     )
-    math_object.slots[12] = math_unary("exp", math.exp)
-    math_object.slots[13] = math_unary("sin", math.sin)
-    math_object.slots[14] = math_unary("cos", math.cos)
+    math_object.slots[12] = math_unary("exp", _js_exp)
+    math_object.slots[13] = math_unary("sin", lambda v: math.sin(v) if math.isfinite(v) else float("nan"))
+    math_object.slots[14] = math_unary("cos", lambda v: math.cos(v) if math.isfinite(v) else float("nan"))
     math_object.slots[15] = native("atan2", math_atan2, arity=2)
-    math_object.slots[16] = math_unary("trunc", math.trunc)
+    math_object.slots[16] = math_unary("trunc", integral(math.trunc))
     # sign must preserve NaN, so it bypasses the float() wrap of math_unary.
 
     def math_sign(vm: "VM", this: object, args: list) -> object:
@@ -838,19 +857,23 @@ def install_builtins(runtime: Runtime) -> None:
 
         runtime.string_methods[name] = native(name, impl, arity=1)
 
-    string_method("charAt", lambda vm, s, a: s[int(to_number(a[0]))] if a and 0 <= int(to_number(a[0])) < len(s) else "")
-    string_method("charCodeAt", lambda vm, s, a: float(ord(s[int(to_number(a[0]))])) if a and 0 <= int(to_number(a[0])) < len(s) else float("nan"))
-    string_method(
-        "indexOf",
-        lambda vm, s, a: float(
-            s.find(
-                to_string(a[0]),
-                int(to_number(a[1])) if len(a) > 1 and a[1] is not UNDEFINED else 0,
-            )
-        )
-        if a
-        else -1.0,
-    )
+    def _string_char_at(vm: "VM", s: str, args: list) -> str:
+        position = _integer_arg(args, 0)
+        return s[position] if 0 <= position < len(s) else ""
+
+    def _string_char_code_at(vm: "VM", s: str, args: list) -> float:
+        position = _integer_arg(args, 0)
+        return float(ord(s[position])) if 0 <= position < len(s) else float("nan")
+
+    def _string_index_of(vm: "VM", s: str, args: list) -> float:
+        if not args:
+            return -1.0
+        start = max(0, min(_integer_arg(args, 1), len(s)))
+        return float(s.find(to_string(args[0]), start))
+
+    string_method("charAt", _string_char_at)
+    string_method("charCodeAt", _string_char_code_at)
+    string_method("indexOf", _string_index_of)
     string_method("lastIndexOf", lambda vm, s, a: float(s.rfind(to_string(a[0]))) if a else -1.0)
     string_method("toUpperCase", lambda vm, s, a: s.upper())
     string_method("toLowerCase", lambda vm, s, a: s.lower())
@@ -858,8 +881,8 @@ def install_builtins(runtime: Runtime) -> None:
     string_method("toString", lambda vm, s, a: s)
 
     def _string_slice(vm: "VM", s: str, args: list) -> str:
-        start = int(to_number(args[0])) if args else 0
-        end = int(to_number(args[1])) if len(args) > 1 and args[1] is not UNDEFINED else len(s)
+        start = _integer_arg(args, 0)
+        end = _integer_arg(args, 1, len(s))
         if start < 0:
             start += len(s)
         if end < 0:
@@ -871,8 +894,8 @@ def install_builtins(runtime: Runtime) -> None:
     string_method("slice", _string_slice)
 
     def _string_substring(vm: "VM", s: str, args: list) -> str:
-        start = int(to_number(args[0])) if args else 0
-        end = int(to_number(args[1])) if len(args) > 1 and args[1] is not UNDEFINED else len(s)
+        start = _integer_arg(args, 0)
+        end = _integer_arg(args, 1, len(s))
         start = max(0, min(start, len(s)))
         end = max(0, min(end, len(s)))
         if start > end:
@@ -897,24 +920,25 @@ def install_builtins(runtime: Runtime) -> None:
     string_method("startsWith", lambda vm, s, a: s.startswith(to_string(a[0])) if a else False)
     string_method("endsWith", lambda vm, s, a: s.endswith(to_string(a[0])) if a else False)
     string_method("includes", lambda vm, s, a: to_string(a[0]) in s if a else False)
-    string_method(
-        "repeat",
-        lambda vm, s, a: s * max(0, int(to_number(a[0]))) if a else "",
-    )
-    string_method(
-        "padStart",
-        lambda vm, s, a: s.rjust(
-            int(to_number(a[0])) if a else 0,
-            (to_string(a[1]) or " ")[0] if len(a) > 1 and a[1] is not UNDEFINED else " ",
-        ),
-    )
-    string_method(
-        "padEnd",
-        lambda vm, s, a: s.ljust(
-            int(to_number(a[0])) if a else 0,
-            (to_string(a[1]) or " ")[0] if len(a) > 1 and a[1] is not UNDEFINED else " ",
-        ),
-    )
+
+    def _string_repeat(vm: "VM", s: str, args: list) -> str:
+        count = _integer_arg(args, 0)
+        if count < 0 or count == math.inf:
+            raise JSLRangeError(f"Invalid count value: {number_to_string(float(count))}")
+        return s * count
+
+    def _pad_length(args: list) -> int:
+        length = _integer_arg(args, 0)
+        if length == math.inf:
+            raise JSLRangeError("Invalid string length")
+        return max(0, length)
+
+    def _pad_fill(args: list) -> str:
+        return (to_string(args[1]) or " ")[0] if len(args) > 1 and args[1] is not UNDEFINED else " "
+
+    string_method("repeat", _string_repeat)
+    string_method("padStart", lambda vm, s, a: s.rjust(_pad_length(a), _pad_fill(a)))
+    string_method("padEnd", lambda vm, s, a: s.ljust(_pad_length(a), _pad_fill(a)))
 
     def number_method(name: str, impl_fn) -> None:
         def impl(vm: "VM", this: object, args: list) -> object:
@@ -923,11 +947,16 @@ def install_builtins(runtime: Runtime) -> None:
 
         runtime.number_methods[name] = native(name, impl, arity=1)
 
+    def _number_to_fixed(vm: "VM", n: float, args: list) -> str:
+        digits = _integer_arg(args, 0)
+        if not 0 <= digits <= 100:
+            raise JSLRangeError("toFixed() digits argument must be between 0 and 100")
+        if not math.isfinite(n) or abs(n) >= 1e21:
+            return number_to_string(n)
+        return f"{n:.{digits}f}"
+
     number_method("toString", lambda vm, n, a: number_to_string(n))
-    number_method(
-        "toFixed",
-        lambda vm, n, a: f"{n:.{int(to_number(a[0])) if a else 0}f}",
-    )
+    number_method("toFixed", _number_to_fixed)
 
     # --- wire the global object ---------------------------------------------------------
 

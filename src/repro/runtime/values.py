@@ -147,6 +147,25 @@ def number_remainder(dividend: float, divisor: float) -> float:
         return float("nan")
 
 
+def number_exponentiate(base: float, exponent: float) -> float:
+    """JS Number::exponentiate (``Math.pow``).  ``math.pow`` follows C99
+    Annex F, which JS shares except that a NaN exponent always gives
+    ``NaN`` and ``(±1) ** ±Infinity`` is ``NaN``; it raises where JS
+    gives an infinity (overflow, a zero base with a negative exponent)
+    or ``NaN`` (a negative base with a non-integral exponent)."""
+    if exponent != exponent or (math.isinf(exponent) and abs(base) == 1.0):
+        return float("nan")
+    try:
+        return math.pow(base, exponent)
+    except (OverflowError, ValueError):
+        if base != 0.0 and math.isfinite(base) and exponent != int(exponent):
+            return float("nan")
+        # An infinite result: negative only for a negative base (or -0)
+        # raised to an odd integer.
+        odd = exponent % 2 == 1
+        return -math.inf if odd and math.copysign(1.0, base) < 0 else math.inf
+
+
 def number_to_string(value: float) -> str:
     """JS Number::toString (ECMA-262 §6.1.6.1.20) over the shortest
     round-trip digits ``repr`` finds: plain decimal notation for
@@ -219,6 +238,17 @@ def to_array_length(value: object) -> int:
     if length != number:
         raise JSLRangeError("Invalid array length")
     return length
+
+
+def to_integer_or_infinity(value: object) -> "int | float":
+    """JS ToIntegerOrInfinity: ToNumber, then ``NaN`` gives 0, an infinity
+    stays a float infinity, and any other number truncates to an int."""
+    number = to_number(value)
+    if number != number:
+        return 0
+    if math.isinf(number):
+        return number
+    return int(number)
 
 
 def to_property_key(value: object) -> str:

@@ -364,6 +364,73 @@ _TRIM_CASES = [
 ]
 
 
+#: Builtins that take an integer argument (ToIntegerOrInfinity), with
+#: NaN and infinite arguments, and ``Math`` functions at their
+#: non-finite and overflowing corners, with what node prints.  Strings print as
+#: lengths or char codes and errors as ``e.name``, so every line is
+#: printable.
+_NUMERIC_ARGUMENT_CASES = [
+    ('"abc".charAt(1 / 0).length', "0"),
+    ('"abc".charAt(0 / 0)', "a"),
+    ('"abc".charCodeAt(0 / 0)', "97"),
+    ("String.fromCharCode(1 / 0).charCodeAt(0)", "0"),
+    ("String.fromCharCode(-1).charCodeAt(0)", "65535"),
+    ("String.fromCharCode(65601)", "A"),
+    ('"ab".substring(1 / 0).length', "0"),
+    ('"abc".slice(-1 / 0)', "abc"),
+    ('"ab".indexOf("b", 1 / 0)', "-1"),
+    ('"ab".indexOf("a", -1)', "0"),
+    ('"ab".indexOf("", 5)', "2"),
+    ("[1, 2, 3].slice(1 / 0).length", "0"),
+    ("(1.5).toFixed(1 / 0)", "RangeError"),
+    ("(1.5).toFixed(-1)", "RangeError"),
+    ("(0 / 0).toFixed(2)", "NaN"),
+    ("(1e21).toFixed(2)", "1e+21"),
+    ('"a".repeat(1 / 0)', "RangeError"),
+    ('"a".repeat(-1)', "RangeError"),
+    ('"abc".repeat(0 / 0).length', "0"),
+    ('"a".padStart(1 / 0)', "RangeError"),
+    ('"a".padEnd(-1 / 0)', "a"),
+    ("Math.round(1 / 0)", "Infinity"),
+    ("Math.floor(1 / 0)", "Infinity"),
+    ("Math.ceil(1 / 0)", "Infinity"),
+    ("Math.floor(0 / 0)", "NaN"),
+    ("Math.trunc(-1 / 0)", "-Infinity"),
+    ("Math.pow(-8, 1 / 3)", "NaN"),
+    ("Math.pow(0, -1)", "Infinity"),
+    ("Math.pow(-0, -3)", "-Infinity"),
+    ("Math.pow(10, 400)", "Infinity"),
+    ("Math.pow(-10, 401)", "-Infinity"),
+    ("Math.pow(1, 1 / 0)", "NaN"),
+    ("Math.exp(1000)", "Infinity"),
+    ("Math.sin(1 / 0)", "NaN"),
+    ("Math.cos(-1 / 0)", "NaN"),
+]
+
+
+def numeric_argument_source(expression: str) -> str:
+    return f"try {{ console.log({expression}); }} catch (e) {{ console.log(e.name); }}"
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize("expression, expected", _NUMERIC_ARGUMENT_CASES)
+    def test_prints_like_node(self, expression, expected):
+        assert console_of(numeric_argument_source(expression)) == [expected]
+
+    def test_runtime_truncates_numbers_in_one_place(self):
+        """Every integer argument goes through ``to_integer_or_infinity``:
+        a bare ``int(to_number(...))`` raises on NaN and the infinities."""
+        from pathlib import Path
+
+        runtime = Path(__file__).resolve().parent.parent / "src" / "repro" / "runtime"
+        offenders = [
+            path.name
+            for path in sorted(runtime.rglob("*.py"))
+            if "int(to_number(" in path.read_text(encoding="utf-8")
+        ]
+        assert offenders == []
+
+
 class TestStringToNumber:
     @pytest.mark.parametrize("expression, expected", _STRING_TO_NUMBER_CASES)
     def test_prints_like_node(self, expression, expected):

@@ -46,7 +46,7 @@ from repro.core.config import RICConfig
 from repro.core.engine import Engine
 from repro.ic.handlers import LoadElementHandler, StoreElementHandler
 from repro.ic.miss import ICRuntime
-from repro.ric.icrecord import DependentEntry, HCVTRow, ICRecord, ToastPair
+from repro.ric.icrecord import HCVTRow, ICRecord, SiteSlot, ToastPair
 from repro.runtime.values import element_index
 from repro.workloads import polyshapes, typedarith
 from tests.helpers import run_cold_and_reused
@@ -305,7 +305,7 @@ def record_linking(engine, site_kind: SiteKind, handler: dict):
         record.toast.setdefault(hc.creation_key, []).append(
             ToastPair(hcid - 1, hc.transition_property, hcid)
         )
-    record.hcvt[-1].dependents.append(DependentEntry(site_key, 0))
+    record.site_slots[site_key] = [SiteSlot(len(chain) - 1, 0)]
     return record
 
 

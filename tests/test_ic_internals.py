@@ -5,7 +5,7 @@ from repro.bytecode.compiler import compile_source
 from repro.core.config import RICConfig
 from repro.ic.handlers import LoadFieldHandler
 from repro.ic.icvector import POLY_LIMIT, FeedbackState, ICState
-from repro.ric.icrecord import DependentEntry, HCVTRow, ICRecord, SiteSlot, ToastPair
+from repro.ric.icrecord import HCVTRow, ICRecord, SiteSlot, ToastPair
 from repro.ric.reuse import ReuseSession
 from repro.runtime.heap import Heap
 from repro.runtime.hidden_class import HiddenClassRegistry
@@ -50,19 +50,18 @@ class TestFeedbackState:
 
 
 def make_record_and_session(dependents=None, cd_sites=None, config=None):
-    """A two-row record: HCID 0 = builtin empty object, HCID 1 = +x."""
+    """A two-row record: HCID 0 = builtin empty object, HCID 1 = +x.
+
+    ``dependents`` are the site keys linked to HCID 1 with handler 0."""
     record = ICRecord()
     record.handlers = [{"kind": "load_field", "offset": 0}]
     record.hcvt = [
         HCVTRow(hcid=0),
-        HCVTRow(
-            hcid=1,
-            dependents=[
-                DependentEntry(site_key, 0) for site_key in (dependents or [])
-            ],
-            cd_dependent_sites=list(cd_sites or []),
-        ),
+        HCVTRow(hcid=1, cd_dependent_sites=list(cd_sites or [])),
     ]
+    record.site_slots = {
+        site_key: [SiteSlot(1, 0)] for site_key in (dependents or [])
+    }
     record.toast = {
         "builtin:EmptyObject": [ToastPair(None, None, 0)],
         "u.jsl:1:16:named_store": [ToastPair(0, "x", 1)],
@@ -206,6 +205,27 @@ class TestReuseSessionPreloading:
         assert counters.ric_preloads == 0
         assert site.state is not ICState.MEGAMORPHIC  # preload didn't tip it
 
+    def test_links_into_an_untrusted_file_are_dropped(self):
+        """The content-identity gate applies to each link's site: a class
+        validated from a trusted file preloads nothing in a file whose
+        content no longer matches the record."""
+        record, feedback, counters, _, _ = make_record_and_session(
+            dependents=[self.LOAD_KEY, "w.jsl:1:11:named_load"]
+        )
+        feedback.register_script(compile_source("var v = o.x;", "w.jsl"))
+        record.script_keys = ["u.jsl:same", "w.jsl:old"]
+        session = ReuseSession(
+            [record],
+            feedback,
+            counters,
+            RICConfig(),
+            trusted_script_keys={"u.jsl:same", "w.jsl:new"},
+        )
+        outgoing = self.drive(session, feedback)
+        assert counters.ric_preloads == 1
+        assert feedback.site_by_key(self.LOAD_KEY).was_preloaded(outgoing)
+        assert not feedback.site_by_key("w.jsl:1:11:named_load").slots
+
     def test_existing_slot_not_duplicated(self):
         _, feedback, counters, session, _ = make_record_and_session(
             dependents=[self.LOAD_KEY]
@@ -308,46 +328,22 @@ class TestICStateMachine:
         assert site.lookup(stranger) is None
         assert [entry[0].address for entry in site.slots] == order
 
-    def _poly_record_session(self, plan_order):
-        """A record with three builtin rows, all Dependents of LOAD_KEY,
-        whose persisted slot order is ``plan_order`` (a permutation of
-        hcids)."""
+    def _poly_record_session(self, slot_order):
+        """A record with three builtin rows, all linked to LOAD_KEY, whose
+        persisted slot order is ``slot_order`` (a permutation of hcids)."""
         record = ICRecord()
         record.handlers = [{"kind": "load_field", "offset": 0}]
-        record.hcvt = [
-            HCVTRow(hcid=i, dependents=[DependentEntry(self.LOAD_KEY, 0)])
-            for i in range(3)
-        ]
+        record.hcvt = [HCVTRow(hcid=i) for i in range(3)]
         record.toast = {
             f"builtin:S{i}": [ToastPair(None, None, i)] for i in range(3)
         }
         record.site_slots = {
-            self.LOAD_KEY: [SiteSlot(hcid, 0) for hcid in plan_order]
+            self.LOAD_KEY: [SiteSlot(hcid, 0) for hcid in slot_order]
         }
         _, feedback = make_feedback()
         counters = Counters()
         session = ReuseSession([record], feedback, counters, RICConfig())
         return record, feedback, counters, session
-
-    def test_preloaded_slots_follow_the_persisted_order(self):
-        """Whatever order validation happens in, a fully-preloaded POLY
-        site ends up probing in the extraction-time (MRU) order."""
-        _, feedback, counters, session = self._poly_record_session([2, 0, 1])
-        reg = registry()
-        shapes = [
-            reg.create_root("builtin", f"builtin:S{i}", None) for i in range(3)
-        ]
-        for hc in shapes:  # validate in hcid order: 0, 1, 2
-            session.on_hidden_class_created(hc)
-        site = feedback.site_by_key(self.LOAD_KEY)
-        assert counters.ric_preloads == 3
-        assert site.state is ICState.POLYMORPHIC
-        assert [entry[0] for entry in site.slots] == [
-            shapes[2],
-            shapes[0],
-            shapes[1],
-        ]
-        assert all(site.was_preloaded(hc) for hc in shapes)
 
     def test_preloaded_site_equivalent_to_organically_warmed(self):
         """A persisted-then-preloaded vector behaves exactly like one the
@@ -375,8 +371,9 @@ class TestICStateMachine:
             assert type(got_a) is type(got_b)
             assert got_a.offset == got_b.offset
 
-        # Initial orders may differ (plan vs install order) but MRU
-        # converges them under any shared access sequence.
+        # Preloads install in validation order, as the run's own misses
+        # would, and MRU keeps the two equal under a shared access
+        # sequence.
         for hc in (shapes[1], shapes[0], shapes[1]):
             preloaded.lookup(hc)
             organic.lookup(hc)

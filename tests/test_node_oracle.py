@@ -27,11 +27,13 @@ from tests.test_edge_cases import (
     _DIVISION_CASES,
     _KEYED_KEY_CASES,
     _NUMBER_STRINGS,
+    _NUMERIC_ARGUMENT_CASES,
     _OWN_ELEMENT_CASES,
     _STRING_TO_NUMBER_CASES,
     _TRIM_CASES,
     division_sources,
     number_sources,
+    numeric_argument_source,
 )
 from tests.test_lexer import LEADING_ZERO_LITERALS
 
@@ -82,6 +84,8 @@ def _cases() -> list:
     for table, prefix in ((_STRING_TO_NUMBER_CASES, "string-to-number"), (_TRIM_CASES, "trim")):
         for expression, expected in table:
             cases.append((f"{prefix}-{expression}", f"console.log({expression});", [expected]))
+    for expression, expected in _NUMERIC_ARGUMENT_CASES:
+        cases.append((f"numeric-argument-{expression}", numeric_argument_source(expression), [expected]))
     return cases
 
 

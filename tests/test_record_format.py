@@ -162,12 +162,27 @@ class TestCorruptionFuzz:
             assert validate_record(loaded) == []
 
     def test_missing_dependents_key_is_typed(self, record):
-        """The satellite repro: an hcvt row missing 'dependents' must be a
-        RecordFormatError, not a KeyError."""
+        """An hcvt row missing its context-dependent dependents list
+        ('cd_dependent_sites'), or a payload missing its link table
+        ('site_slots'), must be a RecordFormatError, not a KeyError."""
         payload = record_to_json(record)
         assert payload["hcvt"], "fixture record should have rows"
-        del payload["hcvt"][0]["dependents"]
+        del payload["hcvt"][0]["cd_dependent_sites"]
         with pytest.raises(RecordFormatError):
+            record_from_json(payload)
+        payload = record_to_json(record)
+        del payload["site_slots"]
+        with pytest.raises(RecordFormatError):
+            record_from_json(payload)
+
+    def test_v5_payload_is_a_version_mismatch(self, record):
+        """A v5 payload (HCVT rows that repeat every link as
+        'dependents') is refused by version, so it is re-extracted."""
+        payload = record_to_json(record)
+        payload["version"] = 5
+        for row in payload["hcvt"]:
+            row["dependents"] = []
+        with pytest.raises(RecordFormatError, match="version"):
             record_from_json(payload)
 
     def test_non_dict_payloads(self):

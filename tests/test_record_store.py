@@ -68,18 +68,18 @@ class TestPerScriptExtraction:
                 assert pair.outgoing_hcid < len(lib.hcvt)
                 if pair.incoming_hcid is not None:
                     assert pair.incoming_hcid < len(lib.hcvt)
-        # Every dependent handler id is valid.
-        for row in lib.hcvt:
-            for dependent in row.dependents:
-                assert dependent.handler_id < len(lib.handlers)
+        # Every link's handler id is valid.
+        for slots in lib.site_slots.values():
+            for slot in slots:
+                assert slot.handler_id < len(lib.handlers)
 
     def test_dependents_stay_within_their_file(self, engine):
         engine.run(APP_A, name="app-a")
         records = engine.extract_per_script_records()
         for filename, record in records.items():
-            for row in record.hcvt:
-                for dependent in row.dependents:
-                    assert dependent.site_key.startswith(filename)
+            assert record.site_slots
+            for site_key in record.site_slots:
+                assert site_key.startswith(filename)
 
     def test_builtin_entries_present_in_every_record(self, engine):
         engine.run(APP_A, name="app-a")

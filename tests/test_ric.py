@@ -77,10 +77,10 @@ class TestExtraction:
             name="t",
         )
         record = engine.extract_icrecord()
-        dependents = [d for row in record.hcvt for d in row.dependents]
-        assert dependents
-        for dependent in dependents:
-            handler = record.handlers[dependent.handler_id]
+        links = [slot for slots in record.site_slots.values() for slot in slots]
+        assert links
+        for slot in links:
+            handler = record.handlers[slot.handler_id]
             assert handler["kind"] in (
                 "load_field",
                 "store_field",
@@ -293,7 +293,6 @@ class TestSerialization:
             "handlers",
             "slot_sites",
             "poly_slot_sites",
-            "site_slot_entries",
             "feedback_sites",
             "feedback_tombstones",
             "extraction_time_ms",
