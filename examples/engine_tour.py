@@ -69,7 +69,7 @@ def main() -> None:
     # --- extraction: what RIC keeps ------------------------------------------------
     record = engine.extract_icrecord()
     print("\n== extracted ICRecord (paper Figure 6) ==")
-    print(f"  HCVT rows:        {len(record.hcvt)}")
+    print(f"  HCVT rows:        {record.num_hidden_classes}")
     print(f"  TOAST entries:    {len(record.toast)}")
     for key, pairs in record.toast.items():
         if key.startswith("builtin:"):

@@ -13,7 +13,7 @@ failures raise the single typed :class:`RecordFormatError`.
 
 from repro.ric.errors import CorruptRecord, RecordFormatError
 from repro.ric.extraction import extract_icrecord
-from repro.ric.icrecord import HCVTRow, ICRecord, ToastPair
+from repro.ric.icrecord import ICRecord, ToastPair
 from repro.ric.reuse import ReuseSession
 from repro.ric.store import (
     RecordStore,
@@ -40,7 +40,6 @@ __all__ = [
     "RecordStore",
     "RecordStoreProtocol",
     "extract_per_script_records",
-    "HCVTRow",
     "ICRECORD_FORMAT_VERSION",
     "ICRecord",
     "ReuseSession",

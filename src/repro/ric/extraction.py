@@ -32,7 +32,6 @@ none enters the TOAST and no site is linked to any of them.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 
@@ -47,7 +46,6 @@ from repro.ic.icvector import FeedbackState, ICSite, ICStates
 from repro.ric.icrecord import (
     FEEDBACK_PROP_LOAD,
     FEEDBACK_PROP_STORE,
-    HCVTRow,
     ICRecord,
     SiteFeedback,
     SiteSlot,
@@ -164,7 +162,7 @@ def _extract(
     """
     local_id = {hc.index: local for local, hc in enumerate(rows)}
     record = ICRecord(script_keys=[filename] if filename is not None else [])
-    record.hcvt = [HCVTRow(hcid=local) for local in range(len(rows))]
+    record.num_hidden_classes = len(rows)
 
     # ---- TOAST -------------------------------------------------------------
     # Rows no TOAST entry may name, and so no site may be linked to.
@@ -201,14 +199,14 @@ def _extract(
             record.toast[key] = kept
 
     # ---- site_slots: the Dependent links (scan the ICVectors) ------------------
-    handler_ids: dict[str, int] = {}
+    handler_ids: dict[tuple, int] = {}
 
     def intern_handler(serialized: dict) -> int:
-        text = json.dumps(serialized, sort_keys=True)
-        handler_id = handler_ids.get(text)
+        key = tuple(serialized.items())  # each kind writes its fields in one order
+        handler_id = handler_ids.get(key)
         if handler_id is None:
             handler_id = len(record.handlers)
-            handler_ids[text] = handler_id
+            handler_ids[key] = handler_id
             record.handlers.append(serialized)
         return handler_id
 
@@ -237,7 +235,7 @@ def _extract(
                 # preload this site, and its Reuse miss is attributed to the
                 # "Handler" bucket of Table 4.  Transitioning stores are the
                 # Triggering sites themselves ("Other" by construction).
-                record.hcvt[local].cd_dependent_sites.append(info.site_key)
+                record.cd_dependent_sites.setdefault(local, []).append(info.site_key)
         if slot_entries:
             record.site_slots[info.site_key] = slot_entries
         feedback_entry = prop_site_feedback(site, slot_entries)

@@ -8,7 +8,8 @@ after an Initial run and consumed by Reuse runs:
   The paper's row lists the Dependent sites to preload once the hidden
   class is validated; here those links are stored once, per site, in
   ``ICRecord.site_slots``, and the Reuse session builds the per-class view
-  from them once per run.  The runtime fields of the paper's HCVT
+  from them once per run, so a row persists only its count and any
+  context-dependent sites.  The runtime fields of the paper's HCVT
   (``HCAddr``, ``V``) live in the Reuse session, not here — they are
   per-execution by definition.
 * **TOAST** (Triggering Object Access Site Table): keyed by the stable
@@ -42,22 +43,6 @@ def filename_of_creation_key(key: str) -> str | None:
     if len(parts) < 3:
         return None
     return parts[0]
-
-
-@dataclass
-class HCVTRow:
-    """Static part of one HCVT entry (paper Figure 6a).
-
-    The row's preloadable Dependent sites are not stored here: each
-    (site, hidden class, handler) link is a :class:`SiteSlot` of
-    ``ICRecord.site_slots``.  ``cd_dependent_sites`` are sites that
-    encountered this hidden class but whose handler was context-dependent
-    (other than transitioning stores): RIC cannot preload them, and their
-    Reuse-run misses are attributed to Table 4's "Handler" column.
-    """
-
-    hcid: int
-    cd_dependent_sites: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -153,7 +138,13 @@ class ICRecord:
     #: Source scripts this record was extracted from (filenames + hashes),
     #: for cache-style integrity checking.
     script_keys: list[str] = field(default_factory=list)
-    hcvt: list[HCVTRow] = field(default_factory=list)
+    #: The HCVT's rows are the hcids ``range(num_hidden_classes)``.
+    num_hidden_classes: int = 0
+    #: Its rows with context-dependent sites, and only those: hcid -> keys
+    #: of the sites whose handler for that class was context-dependent
+    #: (not a transitioning store).  RIC cannot preload them; their
+    #: Reuse-run misses are Table 4's "Handler" column.
+    cd_dependent_sites: dict[int, list[str]] = field(default_factory=dict)
     toast: dict[str, list[ToastPair]] = field(default_factory=dict)
     #: Deduplicated context-independent handlers (serialized form).
     handlers: list[dict] = field(default_factory=list)
@@ -175,22 +166,18 @@ class ICRecord:
     extraction_time_ms: float = 0.0
 
     @property
-    def num_hidden_classes(self) -> int:
-        return len(self.hcvt)
-
-    @property
     def num_dependent_links(self) -> int:
         return sum(len(slots) for slots in self.site_slots.values())
 
     def stats(self) -> dict:
         """Summary counts used by reports and tests."""
         return {
-            "hidden_classes": len(self.hcvt),
+            "hidden_classes": self.num_hidden_classes,
             "toast_entries": len(self.toast),
             "toast_pairs": sum(len(pairs) for pairs in self.toast.values()),
             "dependent_links": self.num_dependent_links,
             "cd_dependent_links": sum(
-                len(row.cd_dependent_sites) for row in self.hcvt
+                len(sites) for sites in self.cd_dependent_sites.values()
             ),
             "handlers": len(self.handlers),
             "slot_sites": len(self.site_slots),

@@ -202,7 +202,7 @@ class ReuseSession:
 
     def _naive_match(self, index: int, record: ICRecord, hc: HiddenClass) -> None:
         """The unsound ablation: trust creation order, skip validation."""
-        if hc.index < len(record.hcvt):
+        if hc.index < record.num_hidden_classes:
             self._validate(index, hc.index, hc)
 
     def _validate(self, index: int, hcid: int, hc: HiddenClass) -> None:
@@ -216,7 +216,7 @@ class ReuseSession:
                 RIC_VALIDATED, hc_index=hc.index, detail=f"hcid={hcid}"
             )
         self.address_by_hcid[index][hcid] = hc.address
-        cd_sites = self.records[index].hcvt[hcid].cd_dependent_sites
+        cd_sites = self.records[index].cd_dependent_sites.get(hcid)
         if cd_sites:
             self._cd_sites_by_address.setdefault(hc.address, set()).update(
                 cd_sites

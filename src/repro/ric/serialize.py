@@ -5,13 +5,14 @@ snapshot approach the paper compares against (§9), it is per-script, can be
 shared between applications, and contains no heap state, so it stays valid
 under nondeterministic initialization.
 
-Because a *later* execution acts on this artifact, the on-disk form is a
-hardened envelope around the payload::
+Because a *later* execution acts on this artifact, the on-disk and wire
+form is a hardened envelope around the payload text (:func:`payload_text`)::
 
-    {"checksum": "<sha256 of canonical payload JSON>",
-     "record": {"version": 6, "script_keys": [...], ...}}
+    {"checksum": "<sha256 of the payload text>",
+     "record": "{\"version\":7,\"script_keys\":[...],...}"}
 
-* the **checksum** rejects truncation, bit-flips, and hand-edits;
+* the **checksum**, checked before the text is parsed, rejects
+  truncation, bit-flips, and any hand-edit;
 * the **format version** (inside the payload, covered by the checksum)
   rejects records written by an incompatible engine;
 * :func:`record_from_json` re-raises every structural surprise as one
@@ -36,12 +37,12 @@ from repro.ric.icrecord import (
     FEEDBACK_ARITH,
     FEEDBACK_PROP_LOAD,
     FEEDBACK_PROP_STORE,
-    HCVTRow,
     ICRecord,
     SiteFeedback,
     SiteSlot,
     ToastPair,
 )
+from repro.ric.validate import check_record
 
 #: Bump when the on-disk format changes.  v3: integrity envelope
 #: (payload checksum) and structural validation on load.  v4: per-site
@@ -49,11 +50,12 @@ from repro.ric.icrecord import (
 #: state, ``site_key -> [[hcid, handler_id], ...]`` capped at POLY_LIMIT.
 #: v5: per-site type feedback (``site_feedback``) — spent by the
 #: quickening pass.  v6: ``site_slots`` is the one link table; HCVT rows
-#: no longer repeat each link as ``dependents``.  Older records are
-#: refused like any other version mismatch and re-extracted.  The wire
-#: form is deduplicated and compact (§7.3 bounds the record at <5% of the
-#: workload heap, and the naive 6-tuple-per-site encoding blew that
-#: budget on reactlike):
+#: no longer repeat each link as ``dependents``.  v7: the HCVT is a row
+#: count plus its rows with context-dependent sites, and the envelope
+#: checksums the payload text.  Older records are refused like any other
+#: version mismatch and re-extracted.  The wire form is deduplicated and
+#: compact (§7.3 bounds the record at <5% of the workload heap, and the
+#: naive 6-tuple-per-site encoding blew that budget on reactlike):
 #:
 #: * monomorphic property feedback is *not* written at all when it is
 #:   byte-for-byte derivable from ``site_slots`` + the handler table
@@ -66,7 +68,7 @@ from repro.ric.icrecord import (
 #:   ``[0, op, types]`` an arith entry, ``[1|2, hcid, offset]`` a
 #:   non-derivable property entry (kinds are small ints on the wire:
 #:   0=arith, 1=prop_load, 2=prop_store).
-ICRECORD_FORMAT_VERSION = 6
+ICRECORD_FORMAT_VERSION = 7
 
 #: Wire encoding of feedback kinds (strings in memory, ints on disk).
 _FEEDBACK_KIND_TO_WIRE = {
@@ -180,9 +182,9 @@ def record_to_json(record: ICRecord) -> dict:
     return {
         "version": ICRECORD_FORMAT_VERSION,
         "script_keys": record.script_keys,
-        "hcvt": [
-            {"hcid": row.hcid, "cd_dependent_sites": row.cd_dependent_sites}
-            for row in record.hcvt
+        "hidden_classes": record.num_hidden_classes,
+        "cd_dependent_sites": [
+            [hcid, keys] for hcid, keys in sorted(record.cd_dependent_sites.items())
         ],
         "toast": {
             key: [
@@ -221,11 +223,11 @@ def record_from_json(data: dict) -> ICRecord:
     try:
         # Entries are built positionally, in dataclass field order (see
         # _feedback_from_wire).
-        record = ICRecord(script_keys=list(data["script_keys"]))
-        record.hcvt = [
-            HCVTRow(row["hcid"], list(row["cd_dependent_sites"]))
-            for row in data["hcvt"]
-        ]
+        record = ICRecord(list(data["script_keys"]), data["hidden_classes"])
+        for hcid, keys in data["cd_dependent_sites"]:
+            if hcid in record.cd_dependent_sites:
+                raise RecordFormatError(f"cd_dependent_sites repeats hcid {hcid!r}")
+            record.cd_dependent_sites[hcid] = list(keys)
         record.toast = {
             key: [
                 ToastPair(incoming, prop, outgoing)
@@ -257,27 +259,31 @@ def record_from_json(data: dict) -> ICRecord:
     return record
 
 
-def payload_checksum(payload: dict) -> str:
-    """SHA-256 over the canonical JSON form of a record payload."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def payload_text(payload: dict) -> str:
+    """The payload as an envelope carries it: compact JSON, ASCII."""
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def payload_checksum(text: str) -> str:
+    """SHA-256 of a record's payload text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def record_to_envelope(record: ICRecord, extra: dict | None = None) -> dict:
-    """Wrap a record payload in the checksummed on-disk envelope.
+    """Wrap a record's payload text in the checksummed on-disk envelope.
 
     ``extra`` adds sibling fields (e.g. the store's ``"key"``) that live
     outside the checksum — they are addressing, not trusted content.
     """
-    payload = record_to_json(record)
+    text = payload_text(record_to_json(record))
     envelope = dict(extra or {})
-    envelope["checksum"] = payload_checksum(payload)
-    envelope["record"] = payload
+    envelope["checksum"] = payload_checksum(text)
+    envelope["record"] = text
     return envelope
 
 
 def record_from_envelope(data: dict) -> ICRecord:
-    """Verify and unwrap an on-disk envelope: checksum, version, structure.
+    """Verify and unwrap an envelope: checksum, version, structure.
 
     Raises :class:`RecordFormatError` on any integrity or format failure.
     """
@@ -287,24 +293,26 @@ def record_from_envelope(data: dict) -> ICRecord:
         )
     if "record" not in data or "checksum" not in data:
         raise RecordFormatError("ICRecord envelope missing 'record'/'checksum'")
-    payload = data["record"]
-    if not isinstance(payload, dict):
-        raise RecordFormatError("ICRecord envelope 'record' must be a dict")
+    text = data["record"]
+    if not isinstance(text, str) or not text.isascii():  # v6 held an object
+        raise RecordFormatError("ICRecord envelope 'record' must be payload text")
     expected = data["checksum"]
-    actual = payload_checksum(payload)
+    actual = payload_checksum(text)
     if expected != actual:
         raise RecordFormatError(
             f"ICRecord checksum mismatch (stored {str(expected)[:12]!r}..., "
             f"computed {actual[:12]!r}...)"
         )
-    from repro.ric.validate import check_record
-
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise RecordFormatError(f"ICRecord payload is not valid JSON: {exc}") from exc
     return check_record(record_from_json(payload))
 
 
 def record_size_bytes(record: ICRecord) -> int:
-    """Serialized size — the paper §7.3 memory-overhead metric."""
-    return len(json.dumps(record_to_json(record)).encode("utf-8"))
+    """Payload text size, as stored and sent — the paper §7.3 metric."""
+    return len(payload_text(record_to_json(record)))
 
 
 def save_icrecord(record: ICRecord, path: str | Path) -> None:

@@ -2,7 +2,7 @@
 
 The serializer guarantees a record *parses*; this pass guarantees it is
 *internally consistent* — the property the reuse machinery actually
-relies on when it indexes ``record.hcvt`` and ``record.handlers``
+relies on when it trusts hcids and indexes ``record.handlers``
 unchecked on the hot path.  It runs on every load and again in
 ``Engine.run`` before any :class:`~repro.ric.reuse.ReuseSession` is
 constructed, so a record that would index out of range, preload a
@@ -49,7 +49,10 @@ def validate_record(record: ICRecord) -> list[str]:
     ):
         problems.append("script_keys must be a list of strings")
 
-    num_rows = len(record.hcvt) if isinstance(record.hcvt, list) else 0
+    num_rows = record.num_hidden_classes
+    if not isinstance(num_rows, int) or isinstance(num_rows, bool) or num_rows < 0:
+        problems.append("num_hidden_classes must be a non-negative int")
+        num_rows = 0
     num_handlers = len(record.handlers) if isinstance(record.handlers, list) else 0
 
     # -- handler store: every entry schema-checked against known kinds ------
@@ -79,21 +82,23 @@ def validate_record(record: ICRecord) -> list[str]:
     else:
         problems.append("handlers must be a list")
 
-    # -- HCVT: dense local hcids ---------------------------------------------
-    if isinstance(record.hcvt, list):
-        for position, row in enumerate(record.hcvt):
-            if not isinstance(getattr(row, "hcid", None), int) or row.hcid != position:
+    # -- HCVT: the rows that have context-dependent sites -------------------
+    if isinstance(record.cd_dependent_sites, dict):
+        for hcid, sites in record.cd_dependent_sites.items():
+            if (
+                not isinstance(hcid, int)
+                or isinstance(hcid, bool)
+                or not 0 <= hcid < num_rows
+                or not isinstance(sites, list)
+                or not sites
+                or not all(isinstance(site_key, str) for site_key in sites)
+            ):
                 problems.append(
-                    f"hcvt row {position} has non-dense hcid "
-                    f"{getattr(row, 'hcid', None)!r}"
+                    f"cd_dependent_sites[{hcid!r}] needs an hcid in [0, "
+                    f"{num_rows}) and a non-empty list of site keys"
                 )
-            for site_key in row.cd_dependent_sites:
-                if not isinstance(site_key, str):
-                    problems.append(
-                        f"hcvt row {position} cd_dependent site key is not a string"
-                    )
     else:
-        problems.append("hcvt must be a list")
+        problems.append("cd_dependent_sites must be a dict")
 
     # -- TOAST: every pair references a valid row ---------------------------
     if isinstance(record.toast, dict):

@@ -13,6 +13,7 @@ may call back into guest code through ``vm.call_value`` (e.g. forEach).
 
 from __future__ import annotations
 
+import decimal
 import json as _json
 import math
 import re
@@ -660,15 +661,17 @@ def install_builtins(runtime: Runtime) -> None:
         exponent = to_number(args[1]) if len(args) > 1 else float("nan")
         return number_exponentiate(base, exponent)
 
-    def math_min(vm: "VM", this: object, args: list) -> object:
-        vm.charge_native(len(args))
-        numbers = [to_number(arg) for arg in args]
-        return min(numbers) if numbers else float("inf")
+    def math_extremum(name: str, pick, empty: float) -> JSFunction:
+        """``Math.min``/``max``: NaN if any argument is NaN, and -0 below +0."""
 
-    def math_max(vm: "VM", this: object, args: list) -> object:
-        vm.charge_native(len(args))
-        numbers = [to_number(arg) for arg in args]
-        return max(numbers) if numbers else float("-inf")
+        def impl(vm: "VM", this: object, args: list) -> object:
+            vm.charge_native(len(args))
+            numbers = [to_number(arg) for arg in args]
+            if any(number != number for number in numbers):
+                return math.nan
+            return pick(numbers, key=lambda n: (n, math.copysign(1.0, n)), default=empty)
+
+        return native(name, impl, arity=2)
 
     def math_random(vm: "VM", this: object, args: list) -> object:
         return vm.runtime.rng.random()
@@ -678,14 +681,21 @@ def install_builtins(runtime: Runtime) -> None:
         back unchanged, where Python's rounding functions raise."""
         return lambda value: fn(value) if math.isfinite(value) else value
 
+    def js_round(value: float) -> float:
+        """Nearest integer, ties toward +Infinity; a zero keeps the sign."""
+        rounded = math.floor(value)
+        if value - rounded >= 0.5:  # exact, where value + 0.5 can round up
+            rounded += 1
+        return rounded if rounded else math.copysign(0.0, value)
+
     math_object.slots[0] = math_unary("abs", abs)
     math_object.slots[1] = math_unary("floor", integral(math.floor))
     math_object.slots[2] = math_unary("ceil", integral(math.ceil))
-    math_object.slots[3] = math_unary("round", integral(lambda value: math.floor(value + 0.5)))
+    math_object.slots[3] = math_unary("round", integral(js_round))
     math_object.slots[4] = math_unary("sqrt", lambda value: math.sqrt(value) if value >= 0 else float("nan"))
     math_object.slots[5] = native("pow", math_pow, arity=2)
-    math_object.slots[6] = native("min", math_min, arity=2)
-    math_object.slots[7] = native("max", math_max, arity=2)
+    math_object.slots[6] = math_extremum("min", min, math.inf)
+    math_object.slots[7] = math_extremum("max", max, -math.inf)
     math_object.slots[8] = native("random", math_random)
     math_object.slots[9] = math.pi
     math_object.slots[10] = math.e
@@ -927,18 +937,20 @@ def install_builtins(runtime: Runtime) -> None:
             raise JSLRangeError(f"Invalid count value: {number_to_string(float(count))}")
         return s * count
 
-    def _pad_length(args: list) -> int:
+    def _padding(s: str, args: list) -> str:
+        """What ``padStart``/``padEnd`` add: the fill string repeated and cut."""
         length = _integer_arg(args, 0)
         if length == math.inf:
             raise JSLRangeError("Invalid string length")
-        return max(0, length)
-
-    def _pad_fill(args: list) -> str:
-        return (to_string(args[1]) or " ")[0] if len(args) > 1 and args[1] is not UNDEFINED else " "
+        fill = to_string(args[1]) if len(args) > 1 and args[1] is not UNDEFINED else " "
+        missing = length - len(s)
+        if missing <= 0 or not fill:
+            return ""
+        return (fill * (missing // len(fill) + 1))[:missing]
 
     string_method("repeat", _string_repeat)
-    string_method("padStart", lambda vm, s, a: s.rjust(_pad_length(a), _pad_fill(a)))
-    string_method("padEnd", lambda vm, s, a: s.ljust(_pad_length(a), _pad_fill(a)))
+    string_method("padStart", lambda vm, s, a: _padding(s, a) + s)
+    string_method("padEnd", lambda vm, s, a: s + _padding(s, a))
 
     def number_method(name: str, impl_fn) -> None:
         def impl(vm: "VM", this: object, args: list) -> object:
@@ -953,7 +965,11 @@ def install_builtins(runtime: Runtime) -> None:
             raise JSLRangeError("toFixed() digits argument must be between 0 and 100")
         if not math.isfinite(n) or abs(n) >= 1e21:
             return number_to_string(n)
-        return f"{n:.{digits}f}"
+        # The exact binary value, ties away from zero; at most 121 digits.
+        fixed = decimal.Decimal(abs(n)).quantize(
+            decimal.Decimal(1).scaleb(-digits), decimal.ROUND_HALF_UP, decimal.Context(prec=125)
+        )
+        return ("-" if n < 0 else "") + format(fixed, "f")
 
     number_method("toString", lambda vm, n, a: number_to_string(n))
     number_method("toFixed", _number_to_fixed)

@@ -308,14 +308,13 @@ class EndpointClient:
         return ("hit", record)
 
     def remote_put(
-        self, filename: str, source: str, record: ICRecord
+        self, filename: str, source: str, envelope: dict
     ) -> "tuple[str, int | None]":
-        """One remote-only PUT.  Returns ``(outcome, evicted)``: outcome
-        is ``"stored"`` (evicted = daemon-side evictions it caused),
-        ``"rejected"`` (admission gate refused the record), ``"stale"``
-        (epoch fencing refused it), ``"mismatch"``, or ``"error"``."""
+        """One remote-only PUT of an envelope.  Returns ``(outcome,
+        evicted)``: outcome is ``"stored"`` (evicted = daemon-side evictions
+        it caused), ``"rejected"`` (admission gate refused the record),
+        ``"stale"`` (epoch fencing refused it), ``"mismatch"``, or ``"error"``."""
         key = [filename, source_hash(source), ICRECORD_FORMAT_VERSION]
-        envelope = record_to_envelope(record)
         try:
             response = self._request(
                 protocol.request(
@@ -549,13 +548,14 @@ class RemoteRecordStore:
         return self.fallback.get(filename, source), "fallbacks"
 
     def put(self, filename: str, source: str, record: ICRecord) -> None:
-        """Write-through local, then fan out to every replica."""
+        """Write-through local, then fan one envelope out to every replica."""
         self.fallback.put(filename, source, record)
+        envelope = record_to_envelope(record)
         stored = 0
         evicted_total = 0
         rejected = stale = False
         for client in self.owners(filename, source_hash(source)):
-            outcome, evicted = client.remote_put(filename, source, record)
+            outcome, evicted = client.remote_put(filename, source, envelope)
             if outcome == "stored":
                 stored += 1
                 evicted_total += evicted or 0

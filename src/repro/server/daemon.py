@@ -14,15 +14,14 @@ transport.  Layering, top to bottom:
    must not occupy a thread forever.
 2. **Serving tier** — an in-memory :class:`~repro.server.lru.LRUCache`
    of *envelopes* (the checksummed on-disk form), bounded by record
-   count and bytes.  Serving envelopes rather than records means zero
-   re-serialization on the hot path and means the daemon never vouches
-   for content: the client re-verifies everything.
+   count and bytes.  A ``GET`` serves the envelope its ``PUT`` carried,
+   so no record is re-serialized on the hot path and the daemon never
+   vouches for content: the client re-verifies everything.
 3. **Admission gate** — a ``PUT`` is deserialized through
-   :func:`~repro.ric.serialize.record_from_envelope` (checksum +
-   structure) and then :func:`~repro.ric.validate.validate_record`.
-   A record failing either is refused and counted
-   (``puts_rejected``) — one client can never poison another through
-   the daemon.
+   :func:`~repro.ric.serialize.record_from_envelope`: checksum, then
+   structure, then one :func:`~repro.ric.validate.validate_record` pass.
+   A record failing any is refused and counted (``puts_rejected``) —
+   one client can never poison another through the daemon.
 4. **Backing tier** — optional write-through to a directory-backed
    :class:`~repro.ric.store.RecordStore`: admitted records survive
    daemon restarts and LRU eviction; on an LRU miss the store is
@@ -73,7 +72,6 @@ from pathlib import Path
 from repro.ric.errors import RecordFormatError
 from repro.ric.serialize import record_from_envelope, record_to_envelope
 from repro.ric.store import RecordStore
-from repro.ric.validate import validate_record
 from repro.server import protocol
 from repro.server.lru import LRUCache
 from repro.server.protocol import ProtocolError
@@ -516,10 +514,9 @@ class RecordCacheDaemon:
         envelope = message.get("envelope")
         if not isinstance(envelope, dict):
             raise ProtocolError("PUT without an object 'envelope'")
-        # Admission gate: checksum + structural deserialization, then the
-        # same validate_record pass the engine runs before trusting a
-        # record.  A failure refuses the PUT — and only the PUT: the
-        # connection stays usable, the cache untouched.
+        # Admission gate: record_from_envelope checks the checksum, the
+        # structure and validate_record.  A failure refuses the PUT — and
+        # only the PUT: the connection stays usable, the cache untouched.
         try:
             record = record_from_envelope(envelope)
         except RecordFormatError as exc:
@@ -527,16 +524,6 @@ class RecordCacheDaemon:
                 self.puts_rejected += 1
             return protocol.ok_response(
                 stored=False, error=str(exc), epoch=self.epoch
-            )
-        problems = validate_record(record)
-        if problems:
-            with self._lock:
-                self.puts_rejected += 1
-            return protocol.ok_response(
-                stored=False,
-                epoch=self.epoch,
-                error=f"invalid record ({len(problems)} problems): "
-                + "; ".join(problems[:3]),
             )
         key = protocol.cache_key(filename, src_hash, version)
         evicted = self.cache.put(

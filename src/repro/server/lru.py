@@ -1,12 +1,12 @@
 """A thread-safe LRU bounded by entry count *and* total payload bytes.
 
-The daemon's serving tier: envelopes (already-serializable dicts) keyed
-by :func:`repro.server.protocol.cache_key`.  Both bounds matter — record
-count keeps the key space sane, byte budget keeps a few huge records
-from evicting everything else.  Eviction is strictly least-recently-used
-(gets and puts both refresh recency); evicted entries survive in the
-daemon's write-through disk store, so eviction costs a re-load, never
-data.
+The daemon's serving tier: envelopes, as ``PUT`` carried them (a small
+dict around one payload string), keyed by
+:func:`repro.server.protocol.cache_key`.  Both bounds matter — record count
+keeps the key space sane, byte budget keeps a few huge records from
+evicting everything else.  Eviction is strictly least-recently-used (gets
+and puts both refresh recency); evicted entries survive in the daemon's
+write-through disk store, so eviction costs a re-load, never data.
 """
 
 from __future__ import annotations

@@ -18,16 +18,16 @@ Requests carry ``{"v": PROTOCOL_VERSION, "op": <verb>, ...}``; responses
 ``GET``
     ``{"key": [filename, source_hash, record_format_version]}`` →
     ``{"ok": true, "hit": true, "envelope": {...}}`` or ``hit: false``.
-    The envelope is the *same checksummed envelope* the on-disk store
-    uses (:func:`repro.ric.serialize.record_to_envelope`), so integrity
-    travels end-to-end: the client re-verifies checksum + structure and
-    never trusts the daemon.
+    The envelope is the one the ``PUT`` carried: the *same checksummed
+    envelope* the on-disk store uses, payload text and all
+    (:func:`repro.ric.serialize.record_to_envelope`), so integrity
+    travels end-to-end: the client re-verifies checksum + structure.
 ``PUT``
     ``{"key": [...], "envelope": {...}}`` → ``{"ok": true, "stored":
-    true, "evicted": n}``.  The daemon verifies the envelope and runs
-    :func:`~repro.ric.validate.validate_record` before admitting it;
-    a failing record is refused (``stored: false``), counted, and never
-    served to another client.
+    true, "evicted": n}``.  The daemon admits the envelope only through
+    :func:`~repro.ric.serialize.record_from_envelope` (checksum and one
+    :func:`~repro.ric.validate.validate_record` pass); a failing record
+    is refused (``stored: false``), counted, and never served.
 ``STAT``
     ``{}`` → ``{"ok": true, "cache": {...}, "store": {...}}`` — LRU
     counters plus the backing store's

@@ -408,6 +408,45 @@ _NUMERIC_ARGUMENT_CASES = [
 ]
 
 
+#: Builtins whose result Python's own functions get wrong: ``max`` and
+#: ``min`` keep an operand a NaN compares false against, ``round`` rounds
+#: ties to even, ``floor(x + 0.5)`` rounds 0.49999999999999994 up, and
+#: ``rjust``/``ljust`` fill with one character.  Signed zeros print
+#: through ``1 / x``: node's ``console.log`` prints ``-0``.
+_BUILTIN_RESULT_CASES = [
+    ("Math.max(1, 0 / 0)", "NaN"),
+    ("Math.min(1, 0 / 0)", "NaN"),
+    ("Math.min(0 / 0, 1)", "NaN"),
+    ('Math.max(1, "x")', "NaN"),
+    ("Math.max(1, 3, 2)", "3"),
+    ("Math.max()", "-Infinity"),
+    ("Math.min()", "Infinity"),
+    ("1 / Math.min(0, -0)", "-Infinity"),
+    ("1 / Math.max(-0, 0)", "Infinity"),
+    ("Math.round(0.49999999999999994)", "0"),
+    ("Math.round(2.5)", "3"),
+    ("Math.round(-2.5)", "-2"),
+    ("Math.round(-2.6)", "-3"),
+    ("Math.round(4503599627370497)", "4503599627370497"),
+    ("1 / Math.round(-0.2)", "-Infinity"),
+    ("(2.5).toFixed(0)", "3"),
+    ("(0.5).toFixed(0)", "1"),
+    ("(-2.5).toFixed(0)", "-3"),
+    ("(0.125).toFixed(2)", "0.13"),
+    ("(-0).toFixed(2)", "0.00"),
+    ("(1.005).toFixed(2)", "1.00"),
+    ("(-0.0001).toFixed(2)", "-0.00"),
+    ("(0.000001).toFixed(7)", "0.0000010"),
+    ("(123.456).toFixed(10)", "123.4560000000"),
+    ('"5".padStart(4, "ab")', "aba5"),
+    ('"5".padEnd(4, "ab")', "5aba"),
+    ('"x".padStart(3, "")', "x"),
+    ('"ab".padStart(7, "xyz")', "xyzxyab"),
+    ('"abc".padEnd(2, "z")', "abc"),
+    ('"[" + "a".padEnd(3) + "]"', "[a  ]"),
+]
+
+
 def numeric_argument_source(expression: str) -> str:
     return f"try {{ console.log({expression}); }} catch (e) {{ console.log(e.name); }}"
 
@@ -429,6 +468,12 @@ class TestNumericArguments:
             if "int(to_number(" in path.read_text(encoding="utf-8")
         ]
         assert offenders == []
+
+
+class TestBuiltinResults:
+    @pytest.mark.parametrize("expression, expected", _BUILTIN_RESULT_CASES)
+    def test_prints_like_node(self, expression, expected):
+        assert console_of(f"console.log({expression});") == [expected]
 
 
 class TestStringToNumber:

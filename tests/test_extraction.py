@@ -150,7 +150,7 @@ def ambiguous_run():
     # Per-file hcids are record-local: the shared key's classes are the
     # last two rows (nothing after them in the run belongs to the file).
     per_file = records["per-file"]
-    local = [len(per_file.hcvt) - 2, len(per_file.hcvt) - 1]
+    local = [per_file.num_hidden_classes - 2, per_file.num_hidden_classes - 1]
     records["per-file"] = (per_file, local)
     return engine, cold, records
 
@@ -161,9 +161,9 @@ def test_ambiguous_classes_are_linked_nowhere(ambiguous_run, kind):
     record, hcids = records[kind]
     assert SHARED_KEY not in record.toast
     for hcid in hcids:
-        row = record.hcvt[hcid]
-        assert row.hcid == hcid
-        assert row.cd_dependent_sites == []
+        # The ambiguous rows stay (hcids do not shift), with no sites.
+        assert 0 <= hcid < record.num_hidden_classes
+        assert hcid not in record.cd_dependent_sites
     for slots in record.site_slots.values():
         assert not {slot.hcid for slot in slots} & set(hcids)
     for entry in record.site_feedback.values():

@@ -46,7 +46,7 @@ from repro.core.config import RICConfig
 from repro.core.engine import Engine
 from repro.ic.handlers import LoadElementHandler, StoreElementHandler
 from repro.ic.miss import ICRuntime
-from repro.ric.icrecord import HCVTRow, ICRecord, SiteSlot, ToastPair
+from repro.ric.icrecord import ICRecord, SiteSlot, ToastPair
 from repro.runtime.values import element_index
 from repro.workloads import polyshapes, typedarith
 from tests.helpers import run_cold_and_reused
@@ -299,7 +299,7 @@ def record_linking(engine, site_kind: SiteKind, handler: dict):
     chain.reverse()
     record = ICRecord(script_keys=engine.extract_icrecord().script_keys)
     record.handlers = [handler]
-    record.hcvt = [HCVTRow(hcid=hcid) for hcid in range(len(chain))]
+    record.num_hidden_classes = len(chain)
     record.toast = {chain[0].creation_key: [ToastPair(None, None, 0)]}
     for hcid, hc in enumerate(chain[1:], start=1):
         record.toast.setdefault(hc.creation_key, []).append(
@@ -323,7 +323,7 @@ class TestRecordsNeverLinkGlobalOrKeyedSites:
         cold = engine.run(HOSTILE_SOURCE, name="hostile")
         record = record_linking(engine, site_kind, handler)
         reused = engine.run(HOSTILE_SOURCE, name="hostile", icrecord=record)
-        assert reused.counters.ric_validations == len(record.hcvt)
+        assert reused.counters.ric_validations == record.num_hidden_classes
         assert reused.counters.ric_preloads == 0
         assert reused.console_output == cold.console_output == ["7 7"]
         assert_never_preloaded(engine.last_run.feedback)

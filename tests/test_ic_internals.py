@@ -5,7 +5,7 @@ from repro.bytecode.compiler import compile_source
 from repro.core.config import RICConfig
 from repro.ic.handlers import LoadFieldHandler
 from repro.ic.icvector import POLY_LIMIT, FeedbackState, ICState
-from repro.ric.icrecord import HCVTRow, ICRecord, SiteSlot, ToastPair
+from repro.ric.icrecord import ICRecord, SiteSlot, ToastPair
 from repro.ric.reuse import ReuseSession
 from repro.runtime.heap import Heap
 from repro.runtime.hidden_class import HiddenClassRegistry
@@ -55,10 +55,9 @@ def make_record_and_session(dependents=None, cd_sites=None, config=None):
     ``dependents`` are the site keys linked to HCID 1 with handler 0."""
     record = ICRecord()
     record.handlers = [{"kind": "load_field", "offset": 0}]
-    record.hcvt = [
-        HCVTRow(hcid=0),
-        HCVTRow(hcid=1, cd_dependent_sites=list(cd_sites or [])),
-    ]
+    record.num_hidden_classes = 2
+    if cd_sites:
+        record.cd_dependent_sites = {1: list(cd_sites)}
     record.site_slots = {
         site_key: [SiteSlot(1, 0)] for site_key in (dependents or [])
     }
@@ -130,10 +129,10 @@ class TestReuseSessionValidation:
         """Two records name the same class by different HCIDs; the class
         validates in each, and every record is charged a lookup."""
         first = ICRecord()
-        first.hcvt = [HCVTRow(hcid=0)]
+        first.num_hidden_classes = 1
         first.toast = {"builtin:EmptyObject": [ToastPair(None, None, 0)]}
         second = ICRecord()
-        second.hcvt = [HCVTRow(hcid=0), HCVTRow(hcid=1)]
+        second.num_hidden_classes = 2
         second.toast = {
             "builtin:Other": [ToastPair(None, None, 0)],
             "builtin:EmptyObject": [ToastPair(None, None, 1)],
@@ -333,7 +332,7 @@ class TestICStateMachine:
         persisted slot order is ``slot_order`` (a permutation of hcids)."""
         record = ICRecord()
         record.handlers = [{"kind": "load_field", "offset": 0}]
-        record.hcvt = [HCVTRow(hcid=i) for i in range(3)]
+        record.num_hidden_classes = 3
         record.toast = {
             f"builtin:S{i}": [ToastPair(None, None, i)] for i in range(3)
         }

@@ -24,6 +24,7 @@ import pytest
 
 from tests.test_edge_cases import (
     _ARRAY_LENGTH_CASES,
+    _BUILTIN_RESULT_CASES,
     _DIVISION_CASES,
     _KEYED_KEY_CASES,
     _NUMBER_STRINGS,
@@ -81,7 +82,11 @@ def _cases() -> list:
     ):
         for name, (source, expected) in sorted(table.items()):
             cases.append((f"{prefix}-{name}", source, expected))
-    for table, prefix in ((_STRING_TO_NUMBER_CASES, "string-to-number"), (_TRIM_CASES, "trim")):
+    for table, prefix in (
+        (_STRING_TO_NUMBER_CASES, "string-to-number"),
+        (_TRIM_CASES, "trim"),
+        (_BUILTIN_RESULT_CASES, "builtin-result"),
+    ):
         for expression, expected in table:
             cases.append((f"{prefix}-{expression}", f"console.log({expression});", [expected]))
     for expression, expected in _NUMERIC_ARGUMENT_CASES:

@@ -8,6 +8,8 @@ what lets every caller harden itself with one ``except`` clause.
 """
 
 import copy
+import dataclasses
+import hashlib
 import json
 import random
 
@@ -17,6 +19,7 @@ from repro.core.engine import Engine
 from repro.ric import (
     CorruptRecord,
     RecordFormatError,
+    RecordStore,
     load_icrecord,
     payload_checksum,
     record_from_envelope,
@@ -27,6 +30,7 @@ from repro.ric import (
     try_load_icrecord,
     validate_record,
 )
+from repro.ric.serialize import payload_text
 
 SOURCE = """
 function Box(v) { this.v = v; this.tag = "box"; }
@@ -62,10 +66,26 @@ class TestRoundTrip:
         save_icrecord(record, path)
         assert load_icrecord(path).stats() == record.stats()
 
-    def test_checksum_is_canonical(self, record):
-        payload = record_to_json(record)
-        shuffled = json.loads(json.dumps(payload))
-        assert payload_checksum(payload) == payload_checksum(shuffled)
+    def test_checksum_is_sha256_of_payload_text(self, record):
+        envelope = record_to_envelope(record)
+        text = envelope["record"]
+        assert text == payload_text(record_to_json(record)) and text.isascii()
+        assert envelope["checksum"] == hashlib.sha256(text.encode()).hexdigest()
+        # One byte more changes no meaning and is still refused: the
+        # checksum covers the text, not a canonical form of it.
+        spaced = " " + text
+        assert json.loads(spaced) == json.loads(text)
+        with pytest.raises(RecordFormatError, match="checksum"):
+            record_from_envelope({**envelope, "record": spaced})
+        flipped = text[:-2] + ("0" if text[-2] != "0" else "1") + text[-1]
+        with pytest.raises(RecordFormatError, match="checksum"):
+            record_from_envelope({**envelope, "record": flipped})
+        # The checksum is checked first, then the text is parsed.
+        broken = text[:-1]
+        with pytest.raises(RecordFormatError, match="not valid JSON"):
+            record_from_envelope(
+                {"checksum": payload_checksum(broken), "record": broken}
+            )
 
     def test_extracted_record_validates(self, record):
         assert validate_record(record) == []
@@ -89,6 +109,15 @@ def _mutate(node, rng: random.Random, depth: int = 0):
             node[index] = rng.choice(replacements)
         else:
             _mutate(node[index], rng, depth + 1)
+
+
+def v6_payload(record) -> dict:
+    """A payload as format v6 wrote it.  Its dense row list is left out:
+    every gate refuses the payload before a row is read."""
+    payload = record_to_json(record)
+    payload["version"] = 6
+    del payload["hidden_classes"], payload["cd_dependent_sites"]
+    return payload
 
 
 class TestCorruptionFuzz:
@@ -134,7 +163,8 @@ class TestCorruptionFuzz:
             rng = random.Random(10_000 + seed)
             payload = copy.deepcopy(pristine)
             _mutate(payload, rng)
-            envelope = {"checksum": payload_checksum(payload), "record": payload}
+            text = payload_text(payload)
+            envelope = {"checksum": payload_checksum(text), "record": text}
             try:
                 loaded = record_from_envelope(envelope)
             except RecordFormatError:
@@ -162,28 +192,79 @@ class TestCorruptionFuzz:
             assert validate_record(loaded) == []
 
     def test_missing_dependents_key_is_typed(self, record):
-        """An hcvt row missing its context-dependent dependents list
-        ('cd_dependent_sites'), or a payload missing its link table
-        ('site_slots'), must be a RecordFormatError, not a KeyError."""
+        """A payload missing its context-dependent sites, its row count
+        or its link table ('site_slots') must be a RecordFormatError,
+        not a KeyError."""
+        for key in ("cd_dependent_sites", "hidden_classes", "site_slots"):
+            payload = record_to_json(record)
+            del payload[key]
+            with pytest.raises(RecordFormatError):
+                record_from_json(payload)
+
+    def test_repeated_cd_hcid_is_refused(self, record):
         payload = record_to_json(record)
-        assert payload["hcvt"], "fixture record should have rows"
-        del payload["hcvt"][0]["cd_dependent_sites"]
-        with pytest.raises(RecordFormatError):
-            record_from_json(payload)
-        payload = record_to_json(record)
-        del payload["site_slots"]
-        with pytest.raises(RecordFormatError):
+        payload["cd_dependent_sites"] = [[0, ["a.jsl:1:1:named_load"]]] * 2
+        with pytest.raises(RecordFormatError, match="repeats hcid 0"):
             record_from_json(payload)
 
     def test_v5_payload_is_a_version_mismatch(self, record):
-        """A v5 payload (HCVT rows that repeat every link as
-        'dependents') is refused by version, so it is re-extracted."""
+        """A v5 payload is refused by version, so it is re-extracted."""
         payload = record_to_json(record)
         payload["version"] = 5
-        for row in payload["hcvt"]:
-            row["dependents"] = []
         with pytest.raises(RecordFormatError, match="version"):
             record_from_json(payload)
+
+    def test_v6_payload_is_a_version_mismatch(self, record):
+        """A v6 payload (one HCVT row object per hidden class where v7
+        has a row count and a sparse map) is refused by version before
+        any row is read."""
+        payload = v6_payload(record)
+        with pytest.raises(RecordFormatError, match="version"):
+            record_from_json(payload)
+        text = payload_text(payload)
+        with pytest.raises(RecordFormatError, match="version"):
+            record_from_envelope({"checksum": payload_checksum(text), "record": text})
+
+    def test_v6_envelope_is_refused(self, record, tmp_path):
+        """A v6 envelope carries its payload as an object, checksummed in
+        canonical form: a format error, and a quarantined store entry."""
+        payload = v6_payload(record)
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        envelope = {
+            "key": "box.jsl:0123",
+            "checksum": hashlib.sha256(canonical.encode()).hexdigest(),
+            "record": payload,
+        }
+        with pytest.raises(RecordFormatError, match="payload text"):
+            record_from_envelope(envelope)
+        (tmp_path / "old.icrecord.json").write_text(json.dumps(envelope))
+        store = RecordStore(directory=tmp_path)
+        assert len(store) == 0 and len(store.load_errors) == 1
+        assert [path.name for path in tmp_path.glob("old.*")] == [
+            "old.icrecord.json.corrupt"
+        ]
+
+    def test_v7_fields_are_validated(self, record):
+        rows = record.num_hidden_classes
+        bad_fields = [
+            {"num_hidden_classes": True},
+            {"num_hidden_classes": -1},
+            {"num_hidden_classes": 2.0},
+            {"cd_dependent_sites": {rows: ["a.jsl:1:1:named_load"]}},
+            {"cd_dependent_sites": {-1: ["a.jsl:1:1:named_load"]}},
+            {"cd_dependent_sites": {False: ["a.jsl:1:1:named_load"]}},
+            {"cd_dependent_sites": {0: []}},
+            {"cd_dependent_sites": {0: [7]}},
+            {"cd_dependent_sites": [[0, ["a.jsl:1:1:named_load"]]]},
+        ]
+        for fields in bad_fields:
+            (name,) = fields
+            problems = validate_record(dataclasses.replace(record, **fields))
+            assert any(name in problem for problem in problems), (fields, problems)
+        good = {0: ["a.jsl:1:1:named_load"], rows - 1: ["a.jsl:2:1:named_load"]}
+        assert validate_record(
+            dataclasses.replace(record, cd_dependent_sites=good)
+        ) == []
 
     def test_non_dict_payloads(self):
         for bogus in (None, [], "record", 7, True):

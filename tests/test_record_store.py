@@ -60,14 +60,15 @@ class TestPerScriptExtraction:
         engine.run(APP_A, name="app-a")
         records = engine.extract_per_script_records()
         lib = records["lib.jsl"]
-        # Local HCIDs are dense 0..n-1.
-        assert [row.hcid for row in lib.hcvt] == list(range(len(lib.hcvt)))
-        # Every TOAST pair references valid local ids.
+        # Local HCIDs are 0..n-1: every TOAST pair and context-dependent
+        # row references one.
+        rows = lib.num_hidden_classes
         for pairs in lib.toast.values():
             for pair in pairs:
-                assert pair.outgoing_hcid < len(lib.hcvt)
+                assert pair.outgoing_hcid < rows
                 if pair.incoming_hcid is not None:
-                    assert pair.incoming_hcid < len(lib.hcvt)
+                    assert pair.incoming_hcid < rows
+        assert all(0 <= hcid < rows for hcid in lib.cd_dependent_sites)
         # Every link's handler id is valid.
         for slots in lib.site_slots.values():
             for slot in slots:

@@ -100,7 +100,7 @@ class TestExtraction:
             name="t",
         )
         record = engine.extract_icrecord()
-        cd_sites = [s for row in record.hcvt for s in row.cd_dependent_sites]
+        cd_sites = [s for sites in record.cd_dependent_sites.values() for s in sites]
         assert cd_sites, "prototype-chain load should be a CD dependent"
 
     def test_handler_store_deduplicates(self, engine):

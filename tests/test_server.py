@@ -225,11 +225,12 @@ class TestAdmissionGate:
     def test_structurally_invalid_record_is_refused(self, daemon, extracted):
         # Re-checksummed (so integrity passes) but smuggling a
         # context-dependent handler kind — the validate_record gate's job.
-        from repro.ric.serialize import payload_checksum, record_to_json
+        from repro.ric.serialize import payload_checksum, payload_text, record_to_json
 
         payload = record_to_json(extracted["lib.jsl"])
         payload["handlers"].append({"kind": "store_transition", "offset": 0})
-        envelope = {"checksum": payload_checksum(payload), "record": payload}
+        text = payload_text(payload)
+        envelope = {"checksum": payload_checksum(text), "record": text}
         response = self._raw_request(
             daemon,
             protocol.request(

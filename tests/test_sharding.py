@@ -6,7 +6,9 @@ In-process daemons (unix sockets plus a TCP case) on background threads
 chaos walls live in ``tests/test_fleet_chaos.py``.
 """
 
+import functools
 import socket
+import sys
 import threading
 import time
 from collections import Counter
@@ -18,6 +20,7 @@ from repro.bytecode.cache import source_hash
 from repro.core.config import RICConfig
 from repro.core.engine import Engine
 from repro.faults import kill_shard
+from repro.ric import serialize, validate
 from repro.ric.serialize import ICRECORD_FORMAT_VERSION
 from repro.ric.store import RecordStore
 from repro.server import (
@@ -102,6 +105,25 @@ def daemon_holds(daemon, filename, source) -> bool:
         filename, source_hash(source), ICRECORD_FORMAT_VERSION
     )
     return daemon.cache.get(key) is not None
+
+
+def count_calls(monkeypatch, function) -> list:
+    """Wrap ``function`` in every ``repro`` module that holds it (a
+    ``from x import f`` copies the name) and return the list each call
+    appends its arguments to."""
+    calls = []
+
+    @functools.wraps(function)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and (
+            getattr(module, function.__name__, None) is function
+        ):
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls
 
 
 class TestHashRing:
@@ -257,6 +279,47 @@ class TestShardedRouting:
         assert remotes[str(fleet[0].socket_path)] is not None
 
 
+class TestWireWork:
+    """What one publish and one GET cost in encodes and validations."""
+
+    def test_one_encode_per_publish_one_validation_per_put(
+        self, tmp_path, extracted, monkeypatch
+    ):
+        daemons = [RecordCacheDaemon(tmp_path / f"d{i}.sock") for i in range(2)]
+        for daemon in daemons:
+            daemon.start()
+        # A memory fallback encodes nothing on put, and memory daemons
+        # write nothing through, so every count below is the wire's.
+        store = RemoteRecordStore(
+            [str(daemon.socket_path) for daemon in daemons],
+            fallback=RecordStore(),
+            replication=2,
+            retries=0,
+        )
+        try:
+            record = extracted["lib.jsl"]
+            encodes = count_calls(monkeypatch, serialize.record_to_envelope)
+            validations = count_calls(monkeypatch, validate.validate_record)
+            store.put("lib.jsl", LIB_SOURCE, record)
+            assert store.stats_snapshot()["puts"] == 1
+            assert all(
+                daemon_holds(daemon, "lib.jsl", LIB_SOURCE) for daemon in daemons
+            )
+            assert len(encodes) == 1  # one envelope for both replicas
+            assert len(validations) == 2  # one admission pass per daemon
+
+            payloads = count_calls(monkeypatch, serialize.record_to_json)
+            validations.clear()
+            assert store.get("lib.jsl", LIB_SOURCE) == record
+            assert store.stats_snapshot()["hits"] == 1
+            assert payloads == []  # the daemon serves the envelope it holds
+            assert len(validations) == 1  # the client's own check
+        finally:
+            store.close()
+            for daemon in daemons:
+                daemon.stop()
+
+
 class TestMakeRecordStoreDispatch:
     def test_none_is_local(self, tmp_path):
         assert isinstance(make_record_store(None), RecordStore)
@@ -363,7 +426,7 @@ class TestEpochInvalidation:
         # PUT with the stale epoch directly.
         client = next(iter(laggard.clients.values()))
         outcome, _ = client.remote_put(
-            "lib.jsl", LIB_SOURCE, extracted["lib.jsl"]
+            "lib.jsl", LIB_SOURCE, serialize.record_to_envelope(extracted["lib.jsl"])
         )
         # The daemon echoes its epoch on the response, so the laggard
         # adopts it; but the PUT itself carried epoch 0 and is refused.
