@@ -131,10 +131,10 @@ class Op(enum.IntEnum):
 
     # Type-specialized (quickened) opcodes.  Neither the compiler nor the
     # optimizer emits these; the quickening pass (repro/specialize/) rewrites
-    # generic opcodes into them at session pre-flight, driven by the
-    # ``site_feedback`` section of a persisted ICRecord.  Every one carries
-    # an inline guard and deoptimizes — rewriting itself back to its generic
-    # form in place — the first time the guard fails.
+    # generic opcodes into them at session pre-flight, driven by a persisted
+    # ICRecord's ``site_feedback`` and, for property sites, its ``site_slots``.
+    # Every one carries an inline guard and deoptimizes — rewriting itself
+    # back to its generic form in place — the first time the guard fails.
     ADD_INT = 90  # both operands integral numbers, else deopt to BINARY
     ADD_NUM = 91  # both operands numbers, else deopt to BINARY
     SUB_NUM = 92

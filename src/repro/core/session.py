@@ -16,10 +16,10 @@ Construction is the pre-flight: runtime creation, record admission,
 quickening, feedback registration, heap charges for bytecode and
 reuse-session wiring.  It is the one place a record is admitted and
 code is quickened, whether the records came as ``icrecord=`` or from
-the record store: a trusted record's ``site_feedback`` rewrites a clone
-of the artifact's generic tree that belongs to this session alone, so
-the VM's deopt patches only that clone.  :meth:`execute` is the
-measured run (builtins, VM, profile).  Extraction
+the record store: a trusted record's ``site_feedback`` and single-slot
+field sites rewrite a clone of the artifact's generic tree that belongs
+to this session alone, so the VM's deopt patches only that clone.
+:meth:`execute` is the measured run (builtins, VM, profile).  Extraction
 (:meth:`extract_icrecord`, :meth:`extract_per_script_records`) and
 :meth:`publish_records` read the session, so callers never reach into
 engine privates — the session *is* the "last run" handle the engine
@@ -44,11 +44,7 @@ from repro.ric.reuse import ReuseSession
 from repro.ric.validate import validate_record
 from repro.runtime.builtins import install_builtins
 from repro.runtime.context import Runtime
-from repro.specialize.quicken import (
-    count_specialized_sites,
-    merge_site_feedback,
-    quicken_code,
-)
+from repro.specialize.quicken import count_specialized_sites, quicken_code
 from repro.stats.counters import Counters
 from repro.stats.profile import RunProfile
 
@@ -172,10 +168,9 @@ class RunSession:
             ]
 
         # Pick each script's executable tree: when specialization is on
-        # and a trusted record carries feedback for this script, quicken
-        # a clone private to this session.  The artifact's generic tree
-        # is never touched; deopt patches the clone back, one site at a
-        # time.
+        # and trusted records cover this script, quicken a clone private
+        # to this session.  The artifact's generic tree is never
+        # touched; deopt patches the clone back, one site at a time.
         self.script_keys: list[str] = [a.key for a in self.artifacts]
         self.exec_codes = []
         for artifact in self.artifacts:
@@ -187,8 +182,7 @@ class RunSession:
                     if artifact.key in record.script_keys
                 ]
                 if trusted_records:
-                    feedback_map = merge_site_feedback(trusted_records)
-                    code, _ = quicken_code(code, feedback_map)
+                    code, _ = quicken_code(code, trusted_records)
             self.exec_codes.append(code)
 
         # Register every script's feedback vectors *before* builtins are

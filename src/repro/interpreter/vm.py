@@ -1116,14 +1116,17 @@ class VM:
         )
 
     def _op_get_prop_slot(self, frame: Frame, a: int, b: int, pc: int) -> int:
-        """GET_PROP_SLOT: direct-offset load at a persistently-mono site.
+        """GET_PROP_SLOT: direct-offset load at a site a trusted record
+        persisted one ``load_field`` slot for.
 
         One hidden-class identity compare against the site's front slot,
         then a raw ``obj.slots[offset]`` — no handler object, no probe
-        loop.  IC accounting is byte-identical to an inline-probe hit of
-        GET_PROP (accesses, hits, tier, preloaded attribution) so quickening
-        never perturbs IC statistics; only the modeled cost differs
-        (SPECIALIZED_PROP instead of IC_PROBE + HANDLER_EXECUTE).
+        loop.  The offset is that slot's handler's (``spec_table``), the
+        one RIC preloads into the slot compared here.  IC accounting is
+        byte-identical to an inline-probe hit of GET_PROP (accesses,
+        hits, tier, preloaded attribution) so quickening never perturbs
+        IC statistics; only the modeled cost differs (SPECIALIZED_PROP
+        instead of IC_PROBE + HANDLER_EXECUTE).
         """
         stack = frame.stack
         obj = stack[-1]

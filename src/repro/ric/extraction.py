@@ -35,14 +35,10 @@ from __future__ import annotations
 import time
 from collections import Counter
 
-from repro.bytecode.code import FeedbackSlotInfo, SiteKinds
+from repro.bytecode.code import SiteKinds
 from repro.core.config import RICConfig
-from repro.ic.handlers import (
-    LoadFieldHandler,
-    StoreFieldHandler,
-    StoreTransitionHandler,
-)
-from repro.ic.icvector import FeedbackState, ICSite, ICStates
+from repro.ic.handlers import StoreTransitionHandler
+from repro.ic.icvector import FeedbackState, ICStates
 from repro.ric.icrecord import (
     FEEDBACK_PROP_LOAD,
     FEEDBACK_PROP_STORE,
@@ -238,62 +234,30 @@ def _extract(
                 record.cd_dependent_sites.setdefault(local, []).append(info.site_key)
         if slot_entries:
             record.site_slots[info.site_key] = slot_entries
-        feedback_entry = prop_site_feedback(site, slot_entries)
-        if feedback_entry is not None:
-            record.site_feedback[info.site_key] = feedback_entry
+        # A site the quickener must not rewrite from its one persisted
+        # slot is tombstoned: it went megamorphic, or it keeps one of
+        # several runtime slots (the others are context-dependent or
+        # unlinkable here), so a typed op guarding on that one class
+        # would deopt.
+        if site.state is ICStates.MEGAMORPHIC or (
+            len(site.slots) > len(slot_entries) == 1
+        ):
+            record.site_feedback[info.site_key] = SiteFeedback(
+                kind=(
+                    FEEDBACK_PROP_LOAD
+                    if info.kind is SiteKinds.NAMED_LOAD
+                    else FEEDBACK_PROP_STORE
+                ),
+                mega=True,
+            )
 
-    # ---- site_feedback (v5): arithmetic profiles + demotions ---------------
-    # Property entries were emitted site-by-site above; arithmetic masks
-    # come from the ICVectors' recorder lists, and sites whose typed
-    # guard failed during this run override everything with a tombstone.
-    # Both key shapes start with the declaring filename, which is what
-    # the per-file filters cut on.
+    # ---- site_feedback: arithmetic profiles + demotions ---------------------
+    # Property tombstones were emitted site-by-site above; arithmetic
+    # masks come from the ICVectors' recorder lists, and sites whose
+    # typed guard failed during this run override everything with a
+    # tombstone.  Both key shapes start with the declaring filename,
+    # which is what the per-file filters cut on.
     record.site_feedback.update(collect_arith_feedback(feedback, filename=filename))
     demoted = demotion_tombstones(feedback.demoted_sites, filename=filename)
     record.site_feedback.update(demoted)
     return record
-
-
-def prop_site_feedback(
-    site: ICSite, slot_entries: list[SiteSlot]
-) -> "SiteFeedback | None":
-    """The ``site_feedback`` entry one named load/store site deserves.
-
-    Persistently monomorphic sites whose single handler is a plain field
-    access become positive entries — ``hcid`` is taken from the already
-    record-local ``slot_entries``, so it is remapped exactly like
-    ``site_slots``.  Megamorphic
-    sites become tombstones (the site thrashed; quickening it would
-    guarantee deopts).  Polymorphic, uninitialized, excluded-class and
-    exotic-handler sites yield nothing: they are not specializable, but
-    not proven hostile either.  Stores to ``prototype`` are never
-    specialized (the typed store skips constructor-cache invalidation).
-    """
-    info: FeedbackSlotInfo = site.info
-    kind = (
-        FEEDBACK_PROP_LOAD
-        if info.kind is SiteKinds.NAMED_LOAD
-        else FEEDBACK_PROP_STORE
-    )
-    if site.state is ICStates.MEGAMORPHIC:
-        return SiteFeedback(kind=kind, mega=True)
-    if (
-        site.state is ICStates.MONOMORPHIC
-        and len(slot_entries) == 1
-        and len(site.slots) == 1
-    ):
-        handler = site.slots[0][1]
-        wanted = (
-            LoadFieldHandler
-            if info.kind is SiteKinds.NAMED_LOAD
-            else StoreFieldHandler
-        )
-        if isinstance(handler, wanted) and not (
-            info.kind is SiteKinds.NAMED_STORE and info.name == "prototype"
-        ):
-            return SiteFeedback(
-                kind=kind,
-                hcid=slot_entries[0].hcid,
-                offset=handler.offset,
-            )
-    return None

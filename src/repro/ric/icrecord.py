@@ -89,29 +89,27 @@ FEEDBACK_KINDS = (FEEDBACK_ARITH, FEEDBACK_PROP_LOAD, FEEDBACK_PROP_STORE)
 
 @dataclass(frozen=True)
 class SiteFeedback:
-    """One persisted type-feedback entry (format v5; ``site_feedback``).
+    """One persisted type-feedback entry (``site_feedback``, format v8).
 
     For ``arith`` entries the key is ``{decl_key}@{pc}:arith`` (the code
     object's declaration key plus the instruction's pc in the optimized
     stream — stable because compilation and optimization are
     deterministic for a given source, and the record is only trusted for
     content-matched scripts) and ``types`` is the observed operand-class
-    bitmask.  For ``prop_load``/``prop_store`` entries the key is the
-    site's IC ``site_key`` and ``hcid``/``offset`` pin the persistently
-    monomorphic hidden class (record-local id, remapped per file exactly
-    like ``site_slots``) and its field offset.
+    bitmask.  ``prop_load``/``prop_store`` entries are keyed by the
+    site's IC ``site_key`` and are always tombstones: what a property
+    site quickens to is read from its one ``site_slots`` slot.
 
     ``mega`` is the tombstone: the site thrashed (megamorphic, mixed
-    operand types, or demoted by a guard failure) and must never be
-    re-specialized — persisting the *negative* result is what stops a
-    reuse chain from re-learning a deopt every execution.
+    operand types, kept one of several runtime slots, or demoted by a
+    guard failure) and must never be re-specialized — persisting the
+    *negative* result is what stops a reuse chain from re-learning a
+    deopt every execution.
     """
 
     kind: str
     op: int = 0  # BinOp value for arith entries, 0 otherwise
     types: int = 0  # operand-class bitmask for arith entries
-    hcid: int = -1  # record-local hidden-class id for mono prop entries
-    offset: int = -1  # field offset for mono prop entries
     mega: bool = False  # tombstone: never re-specialize this site
 
 
@@ -156,11 +154,12 @@ class ICRecord:
     #: when a run starts, so a validated hidden class preloads its sites
     #: in site order.
     site_slots: dict[str, list[SiteSlot]] = field(default_factory=dict)
-    #: Per-site type feedback (format v5): ``feedback key ->``
+    #: Per-site type feedback (format v8): ``feedback key ->``
     #: :class:`SiteFeedback` for arithmetic sites with a stable operand
-    #: profile, persistently monomorphic property sites, and tombstoned
-    #: thrash sites.  Spent by the quickening pass (repro/specialize/) at
-    #: session pre-flight; ignored by everything else.
+    #: profile and tombstoned thrash sites.  Spent, with the single-slot
+    #: field sites of ``site_slots``, by the quickening pass
+    #: (repro/specialize/) at session pre-flight; ignored by everything
+    #: else.
     site_feedback: dict[str, SiteFeedback] = field(default_factory=dict)
     #: Extraction wall-clock time in milliseconds (paper §7.3).
     extraction_time_ms: float = 0.0

@@ -9,7 +9,7 @@ Because a *later* execution acts on this artifact, the on-disk and wire
 form is a hardened envelope around the payload text (:func:`payload_text`)::
 
     {"checksum": "<sha256 of the payload text>",
-     "record": "{\"version\":7,\"script_keys\":[...],...}"}
+     "record": "{\"version\":8,\"script_keys\":[...],...}"}
 
 * the **checksum**, checked before the text is parsed, rejects
   truncation, bit-flips, and any hand-edit;
@@ -52,23 +52,14 @@ from repro.ric.validate import check_record
 #: quickening pass.  v6: ``site_slots`` is the one link table; HCVT rows
 #: no longer repeat each link as ``dependents``.  v7: the HCVT is a row
 #: count plus its rows with context-dependent sites, and the envelope
-#: checksums the payload text.  Older records are refused like any other
-#: version mismatch and re-extracted.  The wire form is deduplicated and
-#: compact (§7.3 bounds the record at <5% of the workload heap, and the
-#: naive 6-tuple-per-site encoding blew that budget on reactlike):
-#:
-#: * monomorphic property feedback is *not* written at all when it is
-#:   byte-for-byte derivable from ``site_slots`` + the handler table
-#:   (exactly one persisted slot whose handler is a field load/store);
-#:   :func:`derived_prop_feedback` reconstructs it on load;
-#: * ``null`` marks a derivable site the extractor deliberately left
-#:   without feedback (e.g. ``X.prototype = ...`` stores) so derivation
-#:   must not resurrect it;
-#: * everything else is a short list: ``[k]`` is a kind-``k`` tombstone,
-#:   ``[0, op, types]`` an arith entry, ``[1|2, hcid, offset]`` a
-#:   non-derivable property entry (kinds are small ints on the wire:
-#:   0=arith, 1=prop_load, 2=prop_store).
-ICRECORD_FORMAT_VERSION = 7
+#: checksums the payload text.  v8: a property site quickens on its one
+#: ``site_slots`` slot, so ``site_feedback`` holds arithmetic profiles
+#: and tombstones only.  Older records are refused like any other
+#: version mismatch and re-extracted.  A ``site_feedback`` value is a
+#: short list (kinds are small ints on the wire: 0=arith, 1=prop_load,
+#: 2=prop_store): ``[k]`` is a kind-``k`` tombstone and ``[0, op,
+#: types]`` an arith entry.
+ICRECORD_FORMAT_VERSION = 8
 
 #: Wire encoding of feedback kinds (strings in memory, ints on disk).
 _FEEDBACK_KIND_TO_WIRE = {
@@ -78,107 +69,51 @@ _FEEDBACK_KIND_TO_WIRE = {
 }
 _WIRE_TO_FEEDBACK_KIND = {v: k for k, v in _FEEDBACK_KIND_TO_WIRE.items()}
 
-#: Handler kinds whose feedback is derivable, keyed by the site-key
-#: suffix they must sit behind.  A direct-offset rewrite is only ever
-#: justified by a plain field handler at a matching named site.
-_DERIVABLE_HANDLERS = {
-    "load_field": (":named_load", FEEDBACK_PROP_LOAD),
-    "store_field": (":named_store", FEEDBACK_PROP_STORE),
-}
-
-
-def derived_prop_feedback(record: ICRecord) -> dict:
-    """Feedback entries implied by ``site_slots`` + the handler table.
-
-    A persistently-monomorphic named property site — exactly one
-    persisted slot, backed by a plain field handler — carries the same
-    ``(hcid, offset)`` pair in ``site_slots`` that its ``site_feedback``
-    entry would repeat, so the entry is reconstructed here instead of
-    serialized.  Sites with polymorphic slot sets, exotic handlers, or a
-    handler/site-kind mismatch derive nothing.
-    """
-    # handler id -> (site-key suffix, feedback kind, offset), for the
-    # derivable handlers only.
-    rules = {}
-    for handler_id, handler in enumerate(record.handlers):
-        if not isinstance(handler, dict):
-            continue
-        rule = _DERIVABLE_HANDLERS.get(handler.get("kind"))
-        offset = handler.get("offset")
-        if rule is not None and isinstance(offset, int):
-            rules[handler_id] = (*rule, offset)
-    derived = {}
-    # Sites with the same slot derive equal entries, and entries are
-    # frozen, so they share one.  Only exact-int hcids share: True == 1,
-    # and the entry must keep the type validation will check.
-    shared: dict[tuple, SiteFeedback] = {}
-    for site_key, slots in record.site_slots.items():
-        if len(slots) != 1:
-            continue
-        slot = slots[0]
-        if not 0 <= slot.handler_id < len(record.handlers):
-            continue
-        rule = rules.get(slot.handler_id)
-        if rule is None or not site_key.endswith(rule[0]):
-            continue
-        hcid = slot.hcid
-        if type(hcid) is not int:
-            derived[site_key] = SiteFeedback(rule[1], 0, 0, hcid, rule[2])
-            continue
-        entry = shared.get((hcid, slot.handler_id))
-        if entry is None:
-            entry = SiteFeedback(rule[1], 0, 0, hcid, rule[2])
-            shared[hcid, slot.handler_id] = entry
-        derived[site_key] = entry
-    return derived
-
 
 def _feedback_to_wire(fb: SiteFeedback) -> list:
-    """Compact wire form of one explicit (non-derivable) feedback entry."""
+    """Compact wire form of one feedback entry."""
     kind = _FEEDBACK_KIND_TO_WIRE.get(fb.kind)
     if kind is None:
-        # Unknown kind: keep the legacy self-describing 6-tuple so the
-        # round trip stays lossless; validate_record is the wall that
-        # rejects it, not the serializer.
-        return [fb.kind, fb.op, fb.types, fb.hcid, fb.offset, fb.mega]
+        # Unknown kind: keep a self-describing tuple so the round trip
+        # stays lossless; validate_record is the wall that rejects it,
+        # not the serializer.
+        return [fb.kind, fb.op, fb.types, fb.mega]
     if fb.mega:
         return [kind]
-    if fb.kind == FEEDBACK_ARITH:
-        return [kind, fb.op, fb.types]
-    return [kind, fb.hcid, fb.offset]
+    return [kind, fb.op, fb.types]
 
 
 def _feedback_from_wire(entry: list) -> SiteFeedback:
-    """Inverse of :func:`_feedback_to_wire` (raises on malformed shapes)."""
+    """Inverse of :func:`_feedback_to_wire` (raises on malformed shapes).
+
+    A property entry that is not a tombstone decodes as one, and
+    :func:`~repro.ric.validate.validate_record` refuses it.
+    """
     head = entry[0]
     if isinstance(head, str):
-        kind, op, types, hcid, offset, mega = entry
-        return SiteFeedback(
-            kind=kind, op=op, types=types, hcid=hcid, offset=offset, mega=bool(mega)
-        )
+        kind, op, types, mega = entry
+        return SiteFeedback(kind, op, types, bool(mega))
     kind = _WIRE_TO_FEEDBACK_KIND[head]
     if len(entry) == 1:
         return SiteFeedback(kind=kind, mega=True)
-    # Positional (kind, op, types, hcid, offset): the decoder builds
-    # thousands of these per page, and keywords cost a quarter more.
-    if kind == FEEDBACK_ARITH:
-        _, op, types = entry
-        return SiteFeedback(kind, op, types)
-    _, hcid, offset = entry
-    return SiteFeedback(kind, 0, 0, hcid, offset)
+    # Positional (kind, op, types): the decoder builds thousands of these
+    # per page, and keywords cost a quarter more.
+    _, op, types = entry
+    return SiteFeedback(kind, op, types)
+
+
+def _list(value, what: str) -> list:
+    """A copy of a list the payload holds; anything else is refused
+    (``list()`` would turn a string into its characters)."""
+    if not isinstance(value, list):
+        raise RecordFormatError(
+            f"{what} must be a list, got {type(value).__name__}"
+        )
+    return list(value)
 
 
 def record_to_json(record: ICRecord) -> dict:
     """Serialize an ICRecord to JSON-compatible plain data (the payload)."""
-    derived = derived_prop_feedback(record)
-    site_feedback = {
-        key: _feedback_to_wire(fb)
-        for key, fb in record.site_feedback.items()
-        if derived.get(key) != fb
-    }
-    for key in derived:
-        if key not in record.site_feedback:
-            site_feedback[key] = None
     return {
         "version": ICRECORD_FORMAT_VERSION,
         "script_keys": record.script_keys,
@@ -201,7 +136,9 @@ def record_to_json(record: ICRecord) -> dict:
             site_key: [[slot.hcid, slot.handler_id] for slot in slots]
             for site_key, slots in record.site_slots.items()
         },
-        "site_feedback": site_feedback,
+        "site_feedback": {
+            key: _feedback_to_wire(fb) for key, fb in record.site_feedback.items()
+        },
         "extraction_time_ms": record.extraction_time_ms,
     }
 
@@ -223,11 +160,15 @@ def record_from_json(data: dict) -> ICRecord:
     try:
         # Entries are built positionally, in dataclass field order (see
         # _feedback_from_wire).
-        record = ICRecord(list(data["script_keys"]), data["hidden_classes"])
+        record = ICRecord(
+            _list(data["script_keys"], "script_keys"), data["hidden_classes"]
+        )
         for hcid, keys in data["cd_dependent_sites"]:
             if hcid in record.cd_dependent_sites:
                 raise RecordFormatError(f"cd_dependent_sites repeats hcid {hcid!r}")
-            record.cd_dependent_sites[hcid] = list(keys)
+            record.cd_dependent_sites[hcid] = _list(
+                keys, f"cd_dependent_sites[{hcid!r}]"
+            )
         record.toast = {
             key: [
                 ToastPair(incoming, prop, outgoing)
@@ -240,15 +181,10 @@ def record_from_json(data: dict) -> ICRecord:
             site_key: [SiteSlot(hcid, handler_id) for hcid, handler_id in slots]
             for site_key, slots in data["site_slots"].items()
         }
-        site_feedback = derived_prop_feedback(record)
-        for key, entry in data["site_feedback"].items():
-            if entry is None:
-                # Explicit suppression: derivable site the extractor
-                # deliberately left without feedback (prototype stores).
-                site_feedback.pop(key, None)
-            else:
-                site_feedback[key] = _feedback_from_wire(entry)
-        record.site_feedback = site_feedback
+        record.site_feedback = {
+            key: _feedback_from_wire(entry)
+            for key, entry in data["site_feedback"].items()
+        }
         record.extraction_time_ms = float(data.get("extraction_time_ms", 0.0))
     except RecordFormatError:
         raise

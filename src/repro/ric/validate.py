@@ -182,7 +182,7 @@ def validate_record(record: ICRecord) -> list[str]:
     else:
         problems.append("site_slots must be a dict")
 
-    # -- site_feedback (v5): known kinds, legal masks, in-range hcids -------
+    # -- site_feedback: known kinds, legal masks, property tombstones only --
     if isinstance(record.site_feedback, dict):
         valid_ops = {int(op) for op in BinOp}
         for key, fb in record.site_feedback.items():
@@ -199,49 +199,33 @@ def validate_record(record: ICRecord) -> list[str]:
                 problems.append(
                     f"site_feedback[{key!r}] mega flag is not a bool"
                 )
-            if kind == FEEDBACK_ARITH:
-                if fb.mega:
-                    continue  # tombstone: op/types are advisory
-                if (
-                    not isinstance(fb.op, int)
-                    or isinstance(fb.op, bool)
-                    or fb.op not in valid_ops
-                ):
-                    problems.append(
-                        f"site_feedback[{key!r}] has invalid BinOp {fb.op!r}"
-                    )
-                if (
-                    not isinstance(fb.types, int)
-                    or isinstance(fb.types, bool)
-                    or fb.types <= 0
-                    or fb.types & ~FEEDBACK_TYPE_MASK
-                ):
-                    problems.append(
-                        f"site_feedback[{key!r}] type mask {fb.types!r} "
-                        f"outside known bits"
-                    )
-            else:  # prop_load / prop_store
-                if fb.mega:
-                    continue  # tombstone: hcid/offset are advisory
-                hcid = fb.hcid
-                if (
-                    not isinstance(hcid, int)
-                    or isinstance(hcid, bool)
-                    or not 0 <= hcid < num_rows
-                ):
-                    problems.append(
-                        f"site_feedback[{key!r}] hcid {hcid!r} "
-                        f"outside [0, {num_rows})"
-                    )
-                if (
-                    not isinstance(fb.offset, int)
-                    or isinstance(fb.offset, bool)
-                    or fb.offset < 0
-                ):
-                    problems.append(
-                        f"site_feedback[{key!r}] offset {fb.offset!r} "
-                        f"must be a non-negative int"
-                    )
+            if fb.mega:
+                continue  # tombstone: op/types are advisory
+            if kind != FEEDBACK_ARITH:
+                # A property site quickens on its one site_slots slot;
+                # its feedback can only forbid that.
+                problems.append(
+                    f"site_feedback[{key!r}] ({kind}) must be a tombstone"
+                )
+                continue
+            if (
+                not isinstance(fb.op, int)
+                or isinstance(fb.op, bool)
+                or fb.op not in valid_ops
+            ):
+                problems.append(
+                    f"site_feedback[{key!r}] has invalid BinOp {fb.op!r}"
+                )
+            if (
+                not isinstance(fb.types, int)
+                or isinstance(fb.types, bool)
+                or fb.types <= 0
+                or fb.types & ~FEEDBACK_TYPE_MASK
+            ):
+                problems.append(
+                    f"site_feedback[{key!r}] type mask {fb.types!r} "
+                    f"outside known bits"
+                )
     else:
         problems.append("site_feedback must be a dict")
 

@@ -31,6 +31,7 @@ from repro.runtime.values import (
     element_index,
     integer_to_number,
     number_exponentiate,
+    number_to_radix_string,
     number_to_string,
     to_array_length,
     to_boolean,
@@ -424,12 +425,16 @@ def install_builtins(runtime: Runtime) -> None:
 
     def array_index_of(vm: "VM", this: object, args: list) -> object:
         array = _require_array(this, "indexOf")
+        elements = array.array_elements
         needle = args[0] if args else UNDEFINED
-        vm.charge_native(len(array.array_elements))
+        vm.charge_native(len(elements))
         from repro.runtime.values import strict_equals
 
-        for index, element in enumerate(array.array_elements):
-            if strict_equals(element, needle):
+        start = _integer_arg(args, 1)
+        if start < 0:
+            start = max(0, start + len(elements))
+        for index in range(min(start, len(elements)), len(elements)):
+            if strict_equals(elements[index], needle):
                 return float(index)
         return -1.0
 
@@ -524,12 +529,17 @@ def install_builtins(runtime: Runtime) -> None:
 
     def array_last_index_of(vm: "VM", this: object, args: list) -> object:
         array = _require_array(this, "lastIndexOf")
+        elements = array.array_elements
         needle = args[0] if args else UNDEFINED
-        vm.charge_native(len(array.array_elements))
+        vm.charge_native(len(elements))
         from repro.runtime.values import strict_equals
 
-        for index in range(len(array.array_elements) - 1, -1, -1):
-            if strict_equals(array.array_elements[index], needle):
+        # A fromIndex passed as undefined is 0, not the default.
+        start = to_integer_or_infinity(args[1]) if len(args) > 1 else math.inf
+        if start < 0:
+            start = max(-1, start + len(elements))
+        for index in range(min(start, len(elements) - 1), -1, -1):
+            if strict_equals(elements[index], needle):
                 return float(index)
         return -1.0
 
@@ -881,10 +891,20 @@ def install_builtins(runtime: Runtime) -> None:
         start = max(0, min(_integer_arg(args, 1), len(s)))
         return float(s.find(to_string(args[0]), start))
 
+    def _string_last_index_of(vm: "VM", s: str, args: list) -> float:
+        if not args:
+            return -1.0
+        search = to_string(args[0])
+        # A NaN or absent position searches from the end.
+        position = to_number(args[1]) if len(args) > 1 else math.nan
+        start = len(s) if position != position else to_integer_or_infinity(position)
+        start = max(0, min(start, len(s)))
+        return float(s.rfind(search, 0, start + len(search)))
+
     string_method("charAt", _string_char_at)
     string_method("charCodeAt", _string_char_code_at)
     string_method("indexOf", _string_index_of)
-    string_method("lastIndexOf", lambda vm, s, a: float(s.rfind(to_string(a[0]))) if a else -1.0)
+    string_method("lastIndexOf", _string_last_index_of)
     string_method("toUpperCase", lambda vm, s, a: s.upper())
     string_method("toLowerCase", lambda vm, s, a: s.lower())
     string_method("trim", lambda vm, s, a: s.strip(STR_WHITESPACE))
@@ -915,11 +935,15 @@ def install_builtins(runtime: Runtime) -> None:
     string_method("substring", _string_substring)
 
     def _string_split(vm: "VM", s: str, args: list) -> object:
+        limit = 2**32 - 1
+        if len(args) > 1 and args[1] is not UNDEFINED:
+            limit = to_uint32(args[1])
         if not args or args[0] is UNDEFINED:
-            return vm.runtime.new_array([s])
-        separator = to_string(args[0])
-        parts = list(s) if separator == "" else s.split(separator)
-        return vm.runtime.new_array(list(parts))
+            parts = [s]
+        else:
+            separator = to_string(args[0])
+            parts = list(s) if separator == "" else s.split(separator)
+        return vm.runtime.new_array(parts[:limit])
 
     string_method("split", _string_split)
     string_method(
@@ -971,7 +995,13 @@ def install_builtins(runtime: Runtime) -> None:
         )
         return ("-" if n < 0 else "") + format(fixed, "f")
 
-    number_method("toString", lambda vm, n, a: number_to_string(n))
+    def _number_to_string(vm: "VM", n: float, args: list) -> str:
+        radix = _integer_arg(args, 0, 10)
+        if not 2 <= radix <= 36:
+            raise JSLRangeError("toString() radix argument must be between 2 and 36")
+        return number_to_radix_string(n, radix)
+
+    number_method("toString", _number_to_string)
     number_method("toFixed", _number_to_fixed)
 
     # --- wire the global object ---------------------------------------------------------

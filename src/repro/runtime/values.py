@@ -195,6 +195,57 @@ def number_to_string(value: float) -> str:
     return f"{digits[0]}{tail}e{sign}{abs(point - 1)}"
 
 
+_RADIX_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def number_to_radix_string(value: float, radix: int) -> str:
+    """JS Number::toString in ``radix`` (2 to 36), digit for digit as
+    node prints it (V8's ``DoubleToRadixCString``).  Integral values
+    below 2**53 are exact.  A fraction is written only up to the
+    double's precision, its last digit rounded half to even; integer
+    digits below that precision (values of 2**53 times ``radix`` and
+    more) print as zeros."""
+    if radix == 10 or value != value or math.isinf(value):
+        return number_to_string(value)
+    negative = value < 0
+    value = abs(value)
+    integer = float(math.floor(value))
+    fraction = value - integer
+    # Half the gap to the next double: fraction digits below it are noise.
+    delta = max(0.5 * (math.nextafter(value, math.inf) - value), 5e-324)
+    digits: list[int] = []
+    while fraction >= delta:
+        fraction *= radix
+        delta *= radix
+        digit = int(fraction)
+        digits.append(digit)
+        fraction -= digit
+        rounds_up = fraction > 0.5 or (fraction == 0.5 and digit & 1)
+        if rounds_up and fraction + delta > 1:
+            # Round up, carrying through trailing (radix - 1) digits.
+            while digits and digits[-1] + 1 == radix:
+                digits.pop()
+            if digits:
+                digits[-1] += 1
+            else:
+                integer += 1
+            break
+    head: list[str] = []
+    while integer / radix >= 2.0**53:
+        integer /= radix
+        head.append("0")
+    while True:
+        remainder = math.fmod(integer, radix)
+        head.append(_RADIX_DIGITS[int(remainder)])
+        integer = (integer - remainder) / radix
+        if integer <= 0:
+            break
+    text = "".join(reversed(head))
+    if digits:
+        text += "." + "".join(_RADIX_DIGITS[digit] for digit in digits)
+    return "-" + text if negative else text
+
+
 def to_string(value: object) -> str:
     """JS ToString."""
     if value is UNDEFINED:

@@ -10,7 +10,7 @@ quickening pass to spend on the next run.
 
 Type bits are shared with the wire format
 (:mod:`repro.ric.icrecord`'s ``FEEDBACK_*`` constants): a mask recorded
-here round-trips through a v5 record unchanged.
+here round-trips through a record unchanged.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """The quickening pass: rewrite generic bytecode into typed variants.
 
 Runs at session pre-flight (:class:`~repro.core.session.RunSession`),
-never during execution.  Given a code tree and the merged
-``site_feedback`` of the run's admitted records, it produces a
-**clone** of the tree in which every site with a stable persisted
-profile carries its typed opcode:
+never during execution.  Given a code tree and the run's trusted
+records for it, it produces a **clone** of the tree in which every site
+with a stable persisted profile carries its typed opcode:
 
 * ``BINARY ADD/SUB/MUL`` whose operand mask stayed within the numeric
   bits becomes ``ADD_INT`` (integral-only ADD) or ``ADD_NUM`` /
@@ -12,10 +11,18 @@ profile carries its typed opcode:
 * fused ``CMP_JUMP_IF_*`` with a numeric mask becomes its
   ``CMP_INT_JUMP_IF_*`` / ``CMP_NUM_JUMP_IF_*`` twin (stacking on the
   superinstruction fusion — one dispatch, typed guard, compare, branch);
-* ``GET_PROP`` / ``SET_PROP`` at persistently monomorphic sites become
-  ``GET_PROP_SLOT`` / ``SET_PROP_SLOT``, direct-offset accesses guarded
-  by one hidden-class identity check, with the original name operand
-  parked in the clone's ``spec_table`` for deopt.
+* ``GET_PROP`` / ``SET_PROP`` at a site a record persisted exactly one
+  ``site_slots`` slot for, with a ``load_field`` / ``store_field``
+  handler, become ``GET_PROP_SLOT`` / ``SET_PROP_SLOT``: direct-offset
+  accesses guarded by one hidden-class identity check.  The offset is
+  that handler's, the one RIC preloads into the slot the typed op
+  guards on; the original name operand is parked beside it in the
+  clone's ``spec_table`` for deopt.  Stores to ``prototype`` stay
+  generic.
+
+Arithmetic profiles come from the records' merged ``site_feedback``
+(:func:`merge_site_feedback`), and a tombstone there keeps any site,
+arithmetic or property, generic.
 
 The rewrite is strictly 1:1 and in place: instruction count, pcs, jump
 targets, source positions and feedback-slot numbering are all preserved,
@@ -36,13 +43,7 @@ import typing
 
 from repro.bytecode.code import CodeObject
 from repro.bytecode.opcodes import BinOp, BinOps, Op, Ops
-from repro.ric.icrecord import (
-    FEEDBACK_ARITH,
-    FEEDBACK_INT,
-    FEEDBACK_PROP_LOAD,
-    FEEDBACK_PROP_STORE,
-    SiteFeedback,
-)
+from repro.ric.icrecord import FEEDBACK_ARITH, FEEDBACK_INT, SiteFeedback
 from repro.specialize.feedback import (
     ARITH_BINOPS,
     CMP_BINOPS,
@@ -113,6 +114,13 @@ _SET_PROP_SLOT = int(Op.SET_PROP_SLOT)
 #: other instruction after one set probe.
 _REWRITABLE_OPS = frozenset((_BINARY, _GET_PROP, _SET_PROP, *_CMP_VARIANTS))
 
+#: Handler kind of a site's one persisted slot -> the generic op it lets
+#: the pass rewrite, and that op's typed form.
+_FIELD_OPS = {
+    "load_field": (_GET_PROP, _GET_PROP_SLOT),
+    "store_field": (_SET_PROP, _SET_PROP_SLOT),
+}
+
 
 def merge_site_feedback(
     records: "typing.Iterable[ICRecord]",
@@ -131,6 +139,26 @@ def merge_site_feedback(
     return merged
 
 
+def _field_sites(
+    records: "typing.Iterable[ICRecord]",
+) -> dict[str, tuple[int, int, int]]:
+    """``site key -> (generic op, typed op, offset)`` for every site a
+    record persisted exactly one ``load_field``/``store_field`` slot for.
+
+    Where two records hold such a slot for one site, the first wins.
+    """
+    fields: dict[str, tuple[int, int, int]] = {}
+    for record in records:
+        handlers = record.handlers
+        for key, slots in record.site_slots.items():
+            if len(slots) == 1 and key not in fields:
+                handler = handlers[slots[0].handler_id]
+                ops = _FIELD_OPS.get(handler["kind"])
+                if ops is not None:
+                    fields[key] = (*ops, handler["offset"])
+    return fields
+
+
 def _arith_replacement(binop: int, mask: int) -> int | None:
     if not mask or mask & ~NUMERIC_MASK:
         return None
@@ -140,7 +168,9 @@ def _arith_replacement(binop: int, mask: int) -> int | None:
 
 
 def _rewrite(
-    code: CodeObject, feedback: dict[str, SiteFeedback]
+    code: CodeObject,
+    feedback: dict[str, SiteFeedback],
+    fields: dict[str, tuple[int, int, int]],
 ) -> "tuple[list[tuple[int, int, int]] | None, list[tuple[int, int]], int]":
     """One code object's rewritten instruction list (None if untouched),
     its spec table, and the number of sites specialized."""
@@ -179,30 +209,22 @@ def _rewrite(
             ):
                 int_only = not fb.types & ~FEEDBACK_INT
                 replacement = (_CMP_VARIANTS[op][0 if int_only else 1], a, b)
-        elif op == _GET_PROP:
-            fb = feedback.get(slots[b].site_key)
+        else:  # GET_PROP / SET_PROP
+            site_key = slots[b].site_key
+            field = fields.get(site_key)
             if (
-                fb is not None
-                and not fb.mega
-                and fb.kind == FEEDBACK_PROP_LOAD
-                and fb.offset >= 0
-            ):
-                spec_table.append((a, fb.offset))
-                replacement = (_GET_PROP_SLOT, len(spec_table) - 1, b)
-        elif op == _SET_PROP:
-            fb = feedback.get(slots[b].site_key)
-            if (
-                fb is not None
-                and not fb.mega
-                and fb.kind == FEEDBACK_PROP_STORE
-                and fb.offset >= 0
+                field is not None
+                and field[0] == op
+                # A record tombstoned the site (a property site's
+                # feedback is only ever a tombstone).
+                and site_key not in feedback
                 # Prototype stores invalidate constructor hidden classes;
                 # the typed store skips that check, so never specialize
                 # them (the plain SET_PROP stays).
-                and code.names[a] != "prototype"
+                and not (op == _SET_PROP and code.names[a] == "prototype")
             ):
-                spec_table.append((a, fb.offset))
-                replacement = (_SET_PROP_SLOT, len(spec_table) - 1, b)
+                spec_table.append((a, field[2]))
+                replacement = (field[1], len(spec_table) - 1, b)
         if replacement is not None:
             if new_instructions is None:
                 new_instructions = list(code.instructions)
@@ -212,21 +234,23 @@ def _rewrite(
 
 
 def quicken_code(
-    code: CodeObject, feedback: dict[str, SiteFeedback]
+    code: CodeObject, records: "typing.Sequence[ICRecord]"
 ) -> "tuple[CodeObject, int]":
-    """Quicken a code tree against a feedback map.
+    """Quicken a code tree against the run's trusted records for it.
 
     Returns ``(quickened clone, sites specialized)``; the original tree
     is returned (count 0 possible per subtree) whenever nothing applies,
     and is never mutated.
     """
-    if not feedback:
+    feedback = merge_site_feedback(records)
+    fields = _field_sites(records)
+    if not feedback and not fields:
         return code, 0
     total = 0
 
     def walk(node: CodeObject) -> CodeObject:
         nonlocal total
-        new_instructions, spec_table, count = _rewrite(node, feedback)
+        new_instructions, spec_table, count = _rewrite(node, feedback, fields)
         new_constants: list[object] | None = None
         for index, constant in enumerate(node.constants):
             if isinstance(constant, CodeObject):

@@ -447,6 +447,59 @@ _BUILTIN_RESULT_CASES = [
 ]
 
 
+#: Builtins at their position, limit and radix arguments, with what node
+#: prints: ``indexOf``/``lastIndexOf`` start at ``fromIndex`` (counted
+#: from the end when negative; an explicit undefined is 0 for
+#: ``lastIndexOf``), ``split`` keeps ToUint32(limit) parts, and
+#: ``toString`` writes the radix's digits (a fraction up to the double's
+#: precision).  Printed like ``_NUMERIC_ARGUMENT_CASES``.
+_POSITION_ARGUMENT_CASES = [
+    ("[1, 2, 1].indexOf(1, 1)", "2"),
+    ("[1, 2, 1].indexOf(1, -1)", "2"),
+    ("[1, 2, 1].indexOf(1, -5)", "0"),
+    ("[1, 2, 1].indexOf(1, -1 / 0)", "0"),
+    ("[1, 2, 3].indexOf(2, 1 / 0)", "-1"),
+    ("[1, 2, 1].lastIndexOf(1, 1)", "0"),
+    ("[1, 2, 1].lastIndexOf(1, -2)", "0"),
+    ("[1, 2, 1].lastIndexOf(1, -5)", "-1"),
+    ("[1, 2, 1].lastIndexOf(1, 1 / 0)", "2"),
+    ("[1, 2, 1].lastIndexOf(1, undefined)", "0"),
+    ("[1, 2, 1].lastIndexOf(1)", "2"),
+    ("[1, 2, 3].lastIndexOf(2, -1 / 0)", "-1"),
+    ('"abcabc".lastIndexOf("b", 3)', "1"),
+    ('"abcabc".lastIndexOf("b", -5)', "-1"),
+    ('"abcabc".lastIndexOf("b", 1 / 0)', "4"),
+    ('"abcabc".lastIndexOf("b", 0 / 0)', "4"),
+    ('"abcabc".lastIndexOf("bc", 4)', "4"),
+    ('"abcabc".lastIndexOf("", 2)', "2"),
+    ('"a,b,c".split(",", 2).join("|")', "a|b"),
+    ('"a,b,c".split(",", 0).length', "0"),
+    ('"abc".split("", 2).length', "2"),
+    ('"a,b".split(",", 1 / 0).length', "0"),
+    ('"a,b,c".split(",", 4294967298).length', "2"),
+    ('"a,b,c".split(",", -1).length', "3"),
+    ('"a,b,c".split(",", undefined).length', "3"),
+    ('"abc".split(undefined, 0).length', "0"),
+    ("(255).toString(16)", "ff"),
+    ("(255).toString(2)", "11111111"),
+    ("(-255).toString(36)", "-73"),
+    ("(255).toString(16.9)", "ff"),
+    ("(255).toString(undefined)", "255"),
+    ("(255).toString(1)", "RangeError"),
+    ("(255).toString(37)", "RangeError"),
+    ("(255).toString(0 / 0)", "RangeError"),
+    ("(0 / 0).toString(2)", "NaN"),
+    ("(1 / 0).toString(16)", "Infinity"),
+    ("(-1 / 0).toString(36)", "-Infinity"),
+    ("(-0).toString(2)", "0"),
+    ("(0.5).toString(2)", "0.1"),
+    ("(-0.75).toString(2)", "-0.11"),
+    ("(0.1).toString(3)", "0.0022002200220022002200220022002201"),
+    ("(3.141592653589793).toString(16)", "3.243f6a8885a3"),
+    ("(1e21).toString(7)", "5135235413265003022600000"),
+]
+
+
 def numeric_argument_source(expression: str) -> str:
     return f"try {{ console.log({expression}); }} catch (e) {{ console.log(e.name); }}"
 
@@ -468,6 +521,12 @@ class TestNumericArguments:
             if "int(to_number(" in path.read_text(encoding="utf-8")
         ]
         assert offenders == []
+
+
+class TestPositionArguments:
+    @pytest.mark.parametrize("expression, expected", _POSITION_ARGUMENT_CASES)
+    def test_prints_like_node(self, expression, expected):
+        assert console_of(numeric_argument_source(expression)) == [expected]
 
 
 class TestBuiltinResults:

@@ -30,6 +30,7 @@ from tests.test_edge_cases import (
     _NUMBER_STRINGS,
     _NUMERIC_ARGUMENT_CASES,
     _OWN_ELEMENT_CASES,
+    _POSITION_ARGUMENT_CASES,
     _STRING_TO_NUMBER_CASES,
     _TRIM_CASES,
     division_sources,
@@ -89,8 +90,12 @@ def _cases() -> list:
     ):
         for expression, expected in table:
             cases.append((f"{prefix}-{expression}", f"console.log({expression});", [expected]))
-    for expression, expected in _NUMERIC_ARGUMENT_CASES:
-        cases.append((f"numeric-argument-{expression}", numeric_argument_source(expression), [expected]))
+    for table, prefix in (
+        (_NUMERIC_ARGUMENT_CASES, "numeric-argument"),
+        (_POSITION_ARGUMENT_CASES, "position-argument"),
+    ):
+        for expression, expected in table:
+            cases.append((f"{prefix}-{expression}", numeric_argument_source(expression), [expected]))
     return cases
 
 

@@ -225,6 +225,29 @@ class TestCorruptionFuzz:
         with pytest.raises(RecordFormatError, match="version"):
             record_from_envelope({"checksum": payload_checksum(text), "record": text})
 
+    def test_v7_payload_is_a_version_mismatch(self, record):
+        """A v7 payload (property feedback that repeats a slot's offset,
+        or null) is refused by version, so it is re-extracted."""
+        payload = record_to_json(record)
+        payload["version"] = 7
+        with pytest.raises(RecordFormatError, match="version"):
+            record_from_json(payload)
+        text = payload_text(payload)
+        with pytest.raises(RecordFormatError, match="version"):
+            record_from_envelope({"checksum": payload_checksum(text), "record": text})
+
+    def test_string_where_a_list_belongs_is_refused(self, record):
+        """``list()`` of a string is a list of its characters, which the
+        structural gate would accept as site or script keys."""
+        for field, value in (
+            ("script_keys", "box.jsl:0123"),
+            ("cd_dependent_sites", [[0, "abc"]]),
+        ):
+            payload = record_to_json(record)
+            payload[field] = value
+            with pytest.raises(RecordFormatError, match="must be a list"):
+                record_from_json(payload)
+
     def test_v6_envelope_is_refused(self, record, tmp_path):
         """A v6 envelope carries its payload as an object, checksummed in
         canonical form: a format error, and a quarantined store entry."""

@@ -7,8 +7,10 @@ Covers every layer the subsystem touches, bottom-up:
 * the quickening pass (typed-opcode rewriting, 1:1 structural guarantees,
   nested code objects, the ``spec_table``, prototype-store exclusion,
   tombstones, multi-record merge),
-* the v5 ``site_feedback`` wire section (round-trip, validation walls,
-  the session's refusal to quicken from damaged or foreign records),
+* the ``site_feedback`` wire section (round-trip, validation walls,
+  the session's refusal to quicken from damaged, forged or foreign
+  records), and the one source of property quickening: a site the
+  record persisted exactly one field slot for (``site_slots``),
 * the run-time deopt chain — the acceptance scenario: train a library
   record under one application, reuse it under a *different* application
   that shape-shifts the site, watch the guard fail exactly once, the
@@ -22,6 +24,8 @@ Covers every layer the subsystem touches, bottom-up:
 from __future__ import annotations
 
 import json
+
+import pytest
 
 from repro.bytecode.compiler import compile_source
 from repro.bytecode.opcodes import BinOp, Op
@@ -38,8 +42,16 @@ from repro.ric.icrecord import (
     FEEDBACK_STR,
     ICRecord,
     SiteFeedback,
+    SiteSlot,
 )
-from repro.ric.serialize import record_from_json, record_to_json
+from repro.ric.errors import RecordFormatError
+from repro.ric.serialize import (
+    payload_checksum,
+    payload_text,
+    record_from_envelope,
+    record_from_json,
+    record_to_json,
+)
 from repro.ric.store import RecordStore
 from repro.ric.validate import validate_record
 from repro.specialize.feedback import (
@@ -72,6 +84,22 @@ def _ops(code) -> set[int]:
 def _clone_record(record: ICRecord) -> ICRecord:
     """Deep copy through the wire format (also exercises serialization)."""
     return record_from_json(json.loads(json.dumps(record_to_json(record))))
+
+
+def _records(feedback: dict) -> list[ICRecord]:
+    """The quickener's input for a bare feedback map: one record."""
+    return [ICRecord(site_feedback=feedback)]
+
+
+def _field_offsets(record: ICRecord) -> dict[str, int]:
+    """Site key -> offset of every site the record persisted exactly one
+    field slot for: the sites property quickening may rewrite."""
+    offsets = {}
+    for key, slots in record.site_slots.items():
+        handler = record.handlers[slots[0].handler_id]
+        if len(slots) == 1 and handler["kind"] in ("load_field", "store_field"):
+            offsets[key] = handler["offset"]
+    return offsets
 
 
 INT_LOOP = """
@@ -175,7 +203,7 @@ class TestQuickenCode:
 
     def test_empty_feedback_is_identity(self):
         code = compile_source(INT_LOOP, "test.jsl")
-        quickened, count = quicken_code(code, {})
+        quickened, count = quicken_code(code, [])
         assert quickened is code and count == 0
 
     def test_irrelevant_feedback_is_identity(self):
@@ -185,12 +213,12 @@ class TestQuickenCode:
                 kind=FEEDBACK_ARITH, op=int(BinOp.ADD), types=FEEDBACK_INT
             )
         }
-        quickened, count = quicken_code(code, stray)
+        quickened, count = quicken_code(code, _records(stray))
         assert quickened is code and count == 0
 
     def test_int_stable_add_becomes_add_int(self):
         code, feedback = self._feedback_for(INT_LOOP)
-        quickened, count = quicken_code(code, feedback)
+        quickened, count = quicken_code(code, _records(feedback))
         assert count > 0
         assert int(Op.ADD_INT) in _ops(quickened)
         assert int(Op.MUL_NUM) in _ops(quickened)  # i * 2 is numeric-stable
@@ -201,14 +229,14 @@ class TestQuickenCode:
         before = [
             list(node.instructions) for node in code.iter_code_objects()
         ]
-        quicken_code(code, feedback)
+        quicken_code(code, _records(feedback))
         after = [list(node.instructions) for node in code.iter_code_objects()]
         assert before == after
         assert count_specialized_sites(code) == 0
 
     def test_rewrite_is_one_to_one_and_pools_are_aliased(self):
         code, feedback = self._feedback_for(INT_LOOP)
-        quickened, _ = quicken_code(code, feedback)
+        quickened, _ = quicken_code(code, _records(feedback))
         originals = list(code.iter_code_objects())
         clones = list(quickened.iter_code_objects())
         assert len(originals) == len(clones)
@@ -230,7 +258,7 @@ function outer(n) {
 console.log(outer(20));
 """
         code, feedback = self._feedback_for(source)
-        quickened, count = quicken_code(code, feedback)
+        quickened, count = quicken_code(code, _records(feedback))
         assert count >= 2  # inner's add and outer's accumulation at least
         nested_ops = set()
         for node in quickened.iter_code_objects():
@@ -244,7 +272,7 @@ console.log(outer(20));
             key: SiteFeedback(kind=FEEDBACK_ARITH, mega=True)
             for key in feedback
         }
-        quickened, count = quicken_code(code, tombstoned)
+        quickened, count = quicken_code(code, _records(tombstoned))
         assert quickened is code and count == 0
 
     def test_op_mismatch_blocks_the_rewrite(self):
@@ -259,13 +287,13 @@ console.log(outer(20));
             for key, fb in feedback.items()
             if fb.op == int(BinOp.ADD)
         }
-        quickened, count = quicken_code(code, crossed)
+        quickened, count = quicken_code(code, _records(crossed))
         assert quickened is code and count == 0
 
     def test_quickened_code_runs_identically_with_typed_hits(self):
         source = INT_LOOP
         code, feedback = self._feedback_for(source)
-        quickened, count = quicken_code(code, feedback)
+        quickened, count = quicken_code(code, _records(feedback))
         assert count > 0
 
         # Execute the quickened clone through the same harness the
@@ -318,16 +346,10 @@ console.log(acc);
 
     def test_monomorphic_sites_get_slot_opcodes_and_spec_table(self):
         record, code = self._record_and_code()
-        prop_entries = {
-            key: fb
-            for key, fb in record.site_feedback.items()
-            if fb.kind in (FEEDBACK_PROP_LOAD, FEEDBACK_PROP_STORE)
-            and not fb.mega
-        }
-        assert prop_entries, "extraction produced no property feedback"
-        assert all(fb.hcid >= 0 and fb.offset >= 0 for fb in prop_entries.values())
+        offsets = _field_offsets(record)
+        assert offsets, "extraction persisted no single-slot field site"
 
-        quickened, count = quicken_code(code, record.site_feedback)
+        quickened, count = quicken_code(code, [record])
         assert count > 0
         assert int(Op.GET_PROP_SLOT) in _ops(quickened)
         assert int(Op.SET_PROP_SLOT) in _ops(quickened)
@@ -336,13 +358,36 @@ console.log(acc);
                 if op in (Op.GET_PROP_SLOT, Op.SET_PROP_SLOT):
                     name_index, offset = node.spec_table[a]
                     assert 0 <= name_index < len(node.names)
-                    assert offset >= 0
-                    assert 0 <= b < len(node.feedback_slots)
+                    # The offset the typed op reads is the one RIC
+                    # preloads into the slot it guards on.
+                    assert offset == offsets[node.feedback_slots[b].site_key]
+
+    def test_first_record_with_a_single_field_slot_wins(self):
+        record, code = self._record_and_code()
+        shifted = _clone_record(record)
+        for handler in shifted.handlers:
+            if "offset" in handler:
+                handler["offset"] += 1
+
+        def spec_offsets(records):
+            quickened, _ = quicken_code(code, records)
+            return [
+                offset
+                for node in quickened.iter_code_objects()
+                for offset in (o for _, o in node.spec_table)
+            ]
+
+        original = spec_offsets([record])
+        assert original
+        assert spec_offsets([record, shifted]) == original
+        assert spec_offsets([shifted, record]) == [o + 1 for o in original]
 
     def test_prototype_stores_are_never_specialized(self):
         # `Alt.prototype = {...}` is a store *to* "prototype" — the one
         # named-store shape the pass must never specialize (the typed
-        # store skips constructor hidden-class invalidation).
+        # store skips constructor hidden-class invalidation).  Its site
+        # persists one store_field slot, so only the quickener's name
+        # check keeps it generic.
         source = self.SOURCE + (
             "function Alt(x) { this.x = x; }\n"
             'Alt.prototype = { tag: "alt" };\n'
@@ -351,8 +396,13 @@ console.log(acc);
         engine = Engine(config=RICConfig(specialize=True), seed=6)
         engine.run([("app.jsl", source)], name="proto")
         record = engine.extract_icrecord()
+        (store_key,) = [
+            key for key in record.site_slots if key.startswith("app.jsl:16:")
+        ]
+        assert store_key in _field_offsets(record)
+        assert store_key not in record.site_feedback
         code = engine.compile("app.jsl", source)
-        quickened, _ = quicken_code(code, record.site_feedback)
+        quickened, _ = quicken_code(code, [record])
         for node in quickened.iter_code_objects():
             for op, a, _ in node.instructions:
                 if op == Op.SET_PROP_SLOT:
@@ -366,6 +416,69 @@ console.log(acc);
             ]
             if "prototype" in node.names:
                 assert "prototype" in generic_stores
+
+
+#: A site that keeps one of its two runtime slots: ``o.x`` in ``getx``
+#: sees A (a field load) and B (x not found, context-dependent).
+ONE_SLOT_OF_TWO = """function A() { this.x = 1; }
+function B() { this.y = 2; }
+function getx(o) { return o.x; }
+var s = 0;
+for (var i = 0; i < 4; i++) { s = s + getx(new A()); getx(new B()); }
+console.log(s);
+"""
+
+#: ``o.x`` in ``getx`` is a one-slot field load at offset 0.
+FIELD_LOAD = """function P() { this.x = 1; this.y = 2; }
+function getx(o) { return o.x; }
+var s = 0;
+for (var i = 0; i < 3; i++) { s = s + getx(new P()); }
+console.log(s);
+"""
+
+
+class TestPropertySiteTrust:
+    """Property quickening reads the record's link table, ``site_slots``,
+    and nothing else: a site that kept one slot of several is
+    tombstoned, and no feedback entry can name an offset."""
+
+    def test_site_keeping_one_of_several_slots_is_tombstoned(self):
+        scripts = [("poly.jsl", ONE_SLOT_OF_TWO)]
+        engine = Engine(config=RICConfig(specialize=True), seed=3)
+        cold = engine.run(scripts, name="cold")
+        records = [
+            engine.extract_icrecord(),
+            engine.extract_per_script_records()["poly.jsl"],
+        ]
+        for record in records:
+            (key,) = [k for k in record.site_slots if k.startswith("poly.jsl:3:")]
+            (slot,) = record.site_slots[key]
+            assert record.handlers[slot.handler_id]["kind"] == "load_field"
+            assert any(key in keys for keys in record.cd_dependent_sites.values())
+            tombstone = record.site_feedback[key]
+            assert tombstone.kind == FEEDBACK_PROP_LOAD and tombstone.mega
+            assert validate_record(_clone_record(record)) == []
+        reused = Engine(config=RICConfig(specialize=True), seed=3).run(
+            scripts, name="reuse", icrecord=records
+        )
+        assert reused.counters.specialized_sites == 4
+        assert reused.counters.deopts == 0
+        assert reused.console_output == cold.console_output == ["4"]
+
+    def test_forged_field_offset_is_refused(self):
+        # A re-checksummed payload naming offset 1 (P's y) at a site
+        # whose slot loads offset 0 would make reuse print 6, not 3.
+        scripts = [("forge.jsl", FIELD_LOAD)]
+        engine = Engine(config=RICConfig(specialize=True), seed=3)
+        assert engine.run(scripts, name="cold").console_output == ["3"]
+        payload = record_to_json(engine.extract_per_script_records()["forge.jsl"])
+        (key,) = [k for k in payload["site_slots"] if k.startswith("forge.jsl:2:")]
+        ((hcid, handler_id),) = payload["site_slots"][key]
+        assert payload["handlers"][handler_id] == {"kind": "load_field", "offset": 0}
+        payload["site_feedback"][key] = [1, hcid, 1]
+        text = payload_text(payload)
+        with pytest.raises(RecordFormatError):
+            record_from_envelope({"checksum": payload_checksum(text), "record": text})
 
 
 class TestMergeSiteFeedback:
@@ -400,7 +513,7 @@ class TestMergeSiteFeedback:
         assert merge_site_feedback([a, b])["k"] is first
 
 
-# -- the wire format (v5) -------------------------------------------------------
+# -- the wire format ------------------------------------------------------------
 
 
 class TestSiteFeedbackWireFormat:
@@ -437,21 +550,45 @@ class TestSiteFeedbackWireFormat:
         problems = validate_record(record)
         assert any("type mask" in p for p in problems)
 
+    def test_validation_rejects_property_entry_that_is_not_a_tombstone(self):
+        for kind in (FEEDBACK_PROP_LOAD, FEEDBACK_PROP_STORE):
+            record = self._extracted_record()
+            record.site_feedback["bad"] = SiteFeedback(kind=kind)
+            problems = validate_record(record)
+            assert any("tombstone" in p for p in problems), problems
+
+    def _quickenable_site(self, record: ICRecord) -> str:
+        """Key of a site property quickening would rewrite: the record
+        persisted exactly one field slot for it."""
+        offsets = _field_offsets(record)
+        assert offsets, "extraction persisted no single-slot field site"
+        return next(iter(offsets))
+
     def test_validation_rejects_out_of_range_hcid(self):
+        # The class a quickened property op guards on is its site's one
+        # slot's hcid, so that hcid must name an HCVT row.
         record = self._extracted_record()
-        record.site_feedback["bad"] = SiteFeedback(
-            kind=FEEDBACK_PROP_LOAD, hcid=10**6, offset=0
-        )
+        key = self._quickenable_site(record)
+        slot = record.site_slots[key][0]
+        record.site_slots[key] = [SiteSlot(hcid=10**6, handler_id=slot.handler_id)]
         problems = validate_record(record)
-        assert any("hcid" in p for p in problems)
+        assert any("hcid" in p for p in problems), problems
 
     def test_validation_rejects_negative_offset(self):
+        # The offset a quickened property op reads is its site's handler's.
         record = self._extracted_record()
-        record.site_feedback["bad"] = SiteFeedback(
-            kind=FEEDBACK_PROP_STORE, hcid=0, offset=-3
-        )
+        key = self._quickenable_site(record)
+        record.handlers[record.site_slots[key][0].handler_id]["offset"] = -3
         problems = validate_record(record)
-        assert any("offset" in p for p in problems)
+        assert any("offset" in p for p in problems), problems
+
+    def test_null_feedback_is_refused(self):
+        # Format v7 wrote null at a site with one field slot that must
+        # not be quickened; format v8 writes a tombstone there.
+        payload = record_to_json(self._extracted_record())
+        payload["site_feedback"][next(iter(payload["site_slots"]))] = None
+        with pytest.raises(RecordFormatError):
+            record_from_json(payload)
 
     def _run_with(self, record, name):
         """One ``icrecord=`` run of the wire source; returns the profile
@@ -601,8 +738,9 @@ class TestStaleSpecialization:
         # next run fetches it and quickens from the generic tree, so
         # every demoted site comes out generic.
         demoted = _clone_record(record)
-        for key, fb in list(demoted.site_feedback.items()):
-            demoted.site_feedback[key] = SiteFeedback(kind=fb.kind, mega=True)
+        demoted.site_feedback.update(
+            demotion_tombstones({*demoted.site_feedback, *demoted.site_slots})
+        )
         store.put("app.jsl", self.SOURCE, demoted)
 
         second = engine.run(self.SCRIPTS, name="demoted", use_store=True)
