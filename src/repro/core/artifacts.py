@@ -204,13 +204,6 @@ class ArtifactCache:
         """Artifacts for a whole workload, in script order."""
         return [self.get_or_build(filename, source) for filename, source in scripts]
 
-    def invalidate(self, filename: str, source: str) -> bool:
-        """Drop one artifact entirely (source semantics changed, or tests
-        forcing a rebuild).  Returns True if present."""
-        key = f"{filename}:{source_hash(source)}"
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
     def stats(self) -> ArtifactCacheStats:
         with self._lock:
             return ArtifactCacheStats(

@@ -57,7 +57,12 @@ Scripts = typing.Sequence[typing.Tuple[str, str]]
 
 
 class Engine:
-    """Drives executions of jsl workloads with optional RIC reuse."""
+    """Drives executions of jsl workloads with optional RIC reuse.
+
+    ``config`` selects the run configuration (RIC's ablations and
+    quickening); ``record_store`` is the store ``use_store`` runs fetch
+    from and :meth:`publish_records` writes to.
+    """
 
     def __init__(
         self,
@@ -70,22 +75,9 @@ class Engine:
         self.config = config or RICConfig()
         self.optimize = optimize
         self.code_cache = CodeCache(cache_dir=cache_dir)
-        #: Record-store selection (any RecordStoreProtocol): an explicit
-        #: store wins; else ``config.remote_socket`` builds a
-        #: RemoteRecordStore over its endpoints with a local fallback;
-        #: else no store (records are passed explicitly via ``icrecord=``).
-        if record_store is None and self.config.remote_socket is not None:
-            from repro.server.client import make_record_store
-
-            record_store = make_record_store(
-                self.config.remote_socket,
-                timeout_s=self.config.remote_timeout_s,
-                retry_after_s=self.config.remote_retry_s,
-                retries=self.config.remote_retries,
-                backoff_s=self.config.remote_backoff_s,
-                request_deadline_s=self.config.remote_deadline_s,
-                replication=self.config.remote_replication,
-            )
+        #: Any RecordStoreProtocol (a local ``RecordStore``, or the
+        #: ``RemoteRecordStore`` that ``make_record_store`` builds), or
+        #: None: records are then passed explicitly via ``icrecord=``.
         self.record_store = record_store
         #: The shared artifact cache every run (facade or executor) of
         #: this engine draws from.
@@ -141,16 +133,18 @@ class Engine:
         (from :func:`~repro.ric.serialize.try_load_icrecord`); those and
         records failing :func:`~repro.ric.validate.validate_record`
         degrade to cold-start for that record only, counted in
-        ``counters.ric_records_corrupt`` / ``ric_records_rejected``.
+        ``counters.ric_records_corrupt`` / ``ric_records_rejected``; a
+        caller for whom a bad record is fatal checks
+        ``counters.ric_records_degraded``.
 
         ``use_store=True`` (with no explicit ``icrecord``) fetches this
         workload's per-script records from :attr:`record_store`; a
         daemon-backed store's hit/miss/fallback traffic for the fetch
         lands in the run's ``ric_remote_*`` counters.
 
-        ``budget`` (default: the config's governance knobs, usually
-        unlimited) and ``cancel_token`` make this a *governed* run: a
-        runaway program is stopped with a typed
+        ``budget`` and ``cancel_token`` make this a *governed* run
+        (without either, it is ungoverned): a runaway program is
+        stopped with a typed
         :class:`~repro.core.errors.ExecutionAborted` subclass instead of
         hanging the engine.  The abort is clean — heap and IC state stay
         consistent, the run's ``budget_aborts_*`` counter is set, the

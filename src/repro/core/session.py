@@ -37,7 +37,7 @@ from repro.core.errors import ExecutionAborted
 from repro.ic.icvector import FeedbackState
 from repro.ic.miss import ICRuntime
 from repro.interpreter.vm import VM
-from repro.ric.errors import CorruptRecord, RecordFormatError
+from repro.ric.errors import CorruptRecord
 from repro.ric.extraction import extract_icrecord, extract_per_script_records
 from repro.ric.icrecord import ICRecord
 from repro.ric.reuse import ReuseSession
@@ -54,19 +54,16 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 def admit_record(
     candidate: "ICRecord | CorruptRecord",
-    config: RICConfig,
     counters: Counters,
 ) -> "ICRecord | None":
     """Gate one candidate record before a ReuseSession may be built.
 
     Returns the record if trustworthy, else None after counting the
-    degradation (or raising, under ``strict_validation``).
+    degradation in ``ric_records_corrupt`` or ``ric_records_rejected``.
+    A bad record is never fatal here; a caller for whom it is reads
+    ``counters.ric_records_degraded``.
     """
     if isinstance(candidate, CorruptRecord):
-        if config.strict_validation:
-            raise RecordFormatError(
-                f"corrupt ICRecord from {candidate.source}: {candidate.error}"
-            )
         counters.ric_records_corrupt += 1
         return None
     if not isinstance(candidate, ICRecord):
@@ -74,13 +71,7 @@ def admit_record(
             "icrecord entries must be ICRecord or CorruptRecord, "
             f"got {type(candidate).__name__}"
         )
-    problems = validate_record(candidate)
-    if problems:
-        if config.strict_validation:
-            raise RecordFormatError(
-                f"invalid ICRecord ({len(problems)} problems): "
-                + "; ".join(problems[:5])
-            )
+    if validate_record(candidate):
         counters.ric_records_rejected += 1
         return None
     return candidate
@@ -118,6 +109,7 @@ class RunSession:
         self.seed = seed
         self.tracer = tracer
         self.time_source = time_source
+        self.budget = budget
         self.cancel_token = cancel_token
         self.counters = counters if counters is not None else Counters()
         self.artifacts = [artifact for artifact, _ in artifacts]
@@ -163,7 +155,7 @@ class RunSession:
             admitted = [
                 record
                 for candidate in candidates
-                if (record := admit_record(candidate, config, counters_))
+                if (record := admit_record(candidate, counters_))
                 is not None
             ]
 
@@ -210,8 +202,6 @@ class RunSession:
                 tracer=tracer,
                 trusted_script_keys=set(self.script_keys),
             )
-
-        self.budget = budget if budget is not None else config.execution_budget()
 
     # -- execution ----------------------------------------------------------
 

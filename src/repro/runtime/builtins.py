@@ -885,16 +885,19 @@ def install_builtins(runtime: Runtime) -> None:
         position = _integer_arg(args, 0)
         return float(ord(s[position])) if 0 <= position < len(s) else float("nan")
 
+    def _search_at(s: str, args: list, default: int = 0) -> "tuple[str, int]":
+        """The search string (an absent one is ``"undefined"``) and the
+        position argument (``default`` when absent or undefined),
+        clamped to ``[0, len(s)]``."""
+        search = to_string(args[0] if args else UNDEFINED)
+        return search, max(0, min(_integer_arg(args, 1, default), len(s)))
+
     def _string_index_of(vm: "VM", s: str, args: list) -> float:
-        if not args:
-            return -1.0
-        start = max(0, min(_integer_arg(args, 1), len(s)))
-        return float(s.find(to_string(args[0]), start))
+        search, start = _search_at(s, args)
+        return float(s.find(search, start))
 
     def _string_last_index_of(vm: "VM", s: str, args: list) -> float:
-        if not args:
-            return -1.0
-        search = to_string(args[0])
+        search = to_string(args[0] if args else UNDEFINED)
         # A NaN or absent position searches from the end.
         position = to_number(args[1]) if len(args) > 1 else math.nan
         start = len(s) if position != position else to_integer_or_infinity(position)
@@ -946,14 +949,21 @@ def install_builtins(runtime: Runtime) -> None:
         return vm.runtime.new_array(parts[:limit])
 
     string_method("split", _string_split)
-    string_method(
-        "replace",
-        lambda vm, s, a: s.replace(to_string(a[0]), to_string(a[1]), 1) if len(a) > 1 else s,
-    )
+
+    def _string_replace(vm: "VM", s: str, args: list) -> str:
+        search = to_string(args[0] if args else UNDEFINED)
+        replacement = to_string(args[1] if len(args) > 1 else UNDEFINED)
+        return s.replace(search, replacement, 1)
+
+    def _string_ends_with(vm: "VM", s: str, args: list) -> bool:
+        search, end = _search_at(s, args, len(s))
+        return s.endswith(search, 0, end)
+
+    string_method("replace", _string_replace)
     string_method("concat", lambda vm, s, a: s + "".join(to_string(x) for x in a))
-    string_method("startsWith", lambda vm, s, a: s.startswith(to_string(a[0])) if a else False)
-    string_method("endsWith", lambda vm, s, a: s.endswith(to_string(a[0])) if a else False)
-    string_method("includes", lambda vm, s, a: to_string(a[0]) in s if a else False)
+    string_method("startsWith", lambda vm, s, a: s.startswith(*_search_at(s, a)))
+    string_method("endsWith", _string_ends_with)
+    string_method("includes", lambda vm, s, a: s.find(*_search_at(s, a)) != -1)
 
     def _string_repeat(vm: "VM", s: str, args: list) -> str:
         count = _integer_arg(args, 0)

@@ -72,9 +72,6 @@ class HiddenClass:
     def property_count(self) -> int:
         return len(self.layout)
 
-    def offset_of(self, name: str) -> int | None:
-        return self.layout.get(name)
-
     def __repr__(self) -> str:
         keys = ",".join(self.layout)
         return (

@@ -92,12 +92,6 @@ class JSObject:
             return False, UNDEFINED
         return True, self.slots[offset]
 
-    def set_existing(self, offset: int, value: object) -> None:
-        self.slots[offset] = value
-
-    def append_slot(self, value: object) -> None:
-        self.slots.append(value)
-
     def own_property_names(self) -> list[str]:
         """Enumerable own names: integer elements first (ascending), then
         named properties in insertion order — JS enumeration order."""

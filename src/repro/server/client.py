@@ -684,17 +684,13 @@ class RemoteRecordStore:
 def make_record_store(
     socket_path: "str | Path | list | tuple | None",
     directory: "str | Path | None" = None,
-    timeout_s: float = 0.5,
-    retry_after_s: float = 1.0,
-    retries: int = 1,
-    backoff_s: float = 0.05,
-    request_deadline_s: float = 2.0,
     replication: int = 2,
 ):
     """Store selection in one place: a plain local store when no
     endpoint is configured, else a :class:`RemoteRecordStore` over the
     endpoints (a list/tuple of specs or one comma-separated string),
-    with the local store as its fallback.
+    with the local store as its fallback and the client's default
+    timeouts and retries.
     """
     local = RecordStore(directory=directory)
     if socket_path is None:
@@ -706,16 +702,7 @@ def make_record_store(
     endpoints = [spec for spec in endpoints if spec]
     if not endpoints:
         return local
-    return RemoteRecordStore(
-        endpoints,
-        fallback=local,
-        replication=replication,
-        timeout_s=timeout_s,
-        retry_after_s=retry_after_s,
-        retries=retries,
-        backoff_s=backoff_s,
-        request_deadline_s=request_deadline_s,
-    )
+    return RemoteRecordStore(endpoints, fallback=local, replication=replication)
 
 
 if typing.TYPE_CHECKING:  # the protocol conformance is a type-level claim

@@ -25,10 +25,6 @@ class MemoryOverhead:
         return self.icrecord_bytes / 1024.0
 
     @property
-    def heap_mb(self) -> float:
-        return self.heap_bytes / (1024.0 * 1024.0)
-
-    @property
     def overhead_fraction(self) -> float:
         if self.heap_bytes == 0:
             return 0.0

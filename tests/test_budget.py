@@ -14,13 +14,7 @@ import threading
 
 import pytest
 
-from repro.core.budget import (
-    DEFAULT_CHECK_STRIDE,
-    BudgetMeter,
-    CancelToken,
-    ExecutionBudget,
-)
-from repro.core.config import RICConfig
+from repro.core.budget import BudgetMeter, CancelToken, ExecutionBudget
 from repro.core.engine import Engine
 from repro.core.errors import (
     ABORT_CLASSES,
@@ -50,14 +44,6 @@ class TestExecutionBudget:
     def test_unlimited(self):
         assert ExecutionBudget().is_unlimited
         assert not ExecutionBudget(max_steps=10).is_unlimited
-
-    def test_config_round_trip(self):
-        assert RICConfig().execution_budget() is None
-        budget = RICConfig(max_steps=5, budget_check_stride=7).execution_budget()
-        assert budget.max_steps == 5 and budget.check_stride == 7
-        assert RICConfig(deadline_ms=1.0).execution_budget().check_stride == (
-            DEFAULT_CHECK_STRIDE
-        )
 
 
 class TestCancelToken:
@@ -246,18 +232,6 @@ class TestPartialExtraction:
             )
         record = engine.extract_icrecord()
         assert validate_record(record) == []
-
-    def test_config_default_budget_governs_runs(self):
-        engine = Engine(config=RICConfig(max_steps=10_000), seed=9)
-        with pytest.raises(StepBudgetExceeded):
-            engine.run([("spin.jsl", runaway_loop())], name="spin")
-        # An explicit budget on the call wins over the config default.
-        profile = engine.run(
-            [("ok.jsl", "console.log('x');")],
-            name="ok",
-            budget=ExecutionBudget(max_steps=10**9),
-        )
-        assert profile.console_output == ["x"]
 
 
 class TestRunCliGovernance:

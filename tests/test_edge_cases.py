@@ -452,7 +452,11 @@ _BUILTIN_RESULT_CASES = [
 #: from the end when negative; an explicit undefined is 0 for
 #: ``lastIndexOf``), ``split`` keeps ToUint32(limit) parts, and
 #: ``toString`` writes the radix's digits (a fraction up to the double's
-#: precision).  Printed like ``_NUMERIC_ARGUMENT_CASES``.
+#: precision).  The string searches read an absent search string, and
+#: ``replace`` an absent replacement, as ``"undefined"``;
+#: ``startsWith``/``includes`` start at ``position`` and ``endsWith``
+#: ends at ``endPosition``, clamped to the string.  Printed like
+#: ``_NUMERIC_ARGUMENT_CASES``.
 _POSITION_ARGUMENT_CASES = [
     ("[1, 2, 1].indexOf(1, 1)", "2"),
     ("[1, 2, 1].indexOf(1, -1)", "2"),
@@ -472,6 +476,22 @@ _POSITION_ARGUMENT_CASES = [
     ('"abcabc".lastIndexOf("b", 0 / 0)', "4"),
     ('"abcabc".lastIndexOf("bc", 4)', "4"),
     ('"abcabc".lastIndexOf("", 2)', "2"),
+    ('"undefined".indexOf()', "0"),
+    ('"xundefined".lastIndexOf()', "1"),
+    ('"undefined".includes()', "true"),
+    ('"undefinedx".startsWith()', "true"),
+    ('"xundefined".endsWith()', "true"),
+    ('"a".replace("a")', "undefined"),
+    ('"abc".startsWith("b", 1)', "true"),
+    ('"abc".startsWith("a", -1)', "true"),
+    ('"abc".startsWith("c", 1 / 0)', "false"),
+    ('"abc".endsWith("b", 2)', "true"),
+    ('"abc".endsWith("c", 99)', "true"),
+    ('"abc".endsWith("a", 0 / 0)', "false"),
+    ('"abc".endsWith("c", undefined)', "true"),
+    ('"abc".includes("a", 1)', "false"),
+    ('"abc".includes("c", 1 / 0)', "false"),
+    ('"abc".includes("a", -5)', "true"),
     ('"a,b,c".split(",", 2).join("|")', "a|b"),
     ('"a,b,c".split(",", 0).length', "0"),
     ('"abc".split("", 2).length', "2"),

@@ -11,13 +11,11 @@ import random
 
 import pytest
 
-from repro.core.config import RICConfig
 from repro.core.engine import Engine
 from repro.faults import FAULTS, FaultyRecordStore, inject_fault
 from repro.harness.reporting import degradation_row, render_degradation
 from repro.ric import (
     CorruptRecord,
-    RecordFormatError,
     RecordStore,
     save_icrecord,
     try_load_icrecord,
@@ -114,18 +112,6 @@ def test_non_record_icrecord_is_a_typed_error():
     engine = Engine(seed=1)
     with pytest.raises(TypeError, match="ICRecord or CorruptRecord"):
         engine.run(WORKLOAD, name="bogus", icrecord="not a record")
-
-
-def test_strict_validation_raises_instead_of_degrading(pristine, tmp_path):
-    path = tmp_path / "record.icrecord.json"
-    path.write_bytes(pristine)
-    inject_fault(path, "stale_version", random.Random(7))
-    loaded = try_load_icrecord(path)
-    assert isinstance(loaded, CorruptRecord)
-
-    engine = Engine(config=RICConfig(strict_validation=True), seed=57)
-    with pytest.raises(RecordFormatError):
-        engine.run(WORKLOAD, name="strict", icrecord=loaded)
 
 
 @pytest.mark.parametrize("fault", ["truncation", "bit_flip", "field_mutation"])

@@ -11,10 +11,9 @@ import socket
 
 import pytest
 
-from repro.core.config import RICConfig
 from repro.core.engine import Engine
 from repro.faults import SOCKET_FAULTS, FlakySocketProxy
-from repro.ric import RecordStore, RecordStoreProtocol, record_to_envelope
+from repro.ric import RecordStore, record_to_envelope
 from repro.ric.serialize import ICRECORD_FORMAT_VERSION
 from repro.server import (
     LRUCache,
@@ -397,12 +396,6 @@ class TestEngineIntegration:
         assert reused.counters.ric_remote_hits == 2
         assert reused.counters.ic_hits_on_preloaded > 0
         assert reused.counters.ic_misses < cold.counters.ic_misses
-
-    def test_engine_builds_store_from_config(self, daemon):
-        config = RICConfig(remote_socket=str(daemon.socket_path))
-        engine = Engine(config=config, seed=5)
-        assert isinstance(engine.record_store, RemoteRecordStore)
-        assert isinstance(engine.record_store, RecordStoreProtocol)
 
     def test_daemon_death_mid_sequence_degrades(self, daemon):
         a = Engine(seed=1, record_store=remote(daemon))

@@ -17,12 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.bytecode.cache import source_hash
-from repro.core.config import RICConfig
 from repro.core.engine import Engine
 from repro.faults import kill_shard
 from repro.ric import serialize, validate
 from repro.ric.serialize import ICRECORD_FORMAT_VERSION
-from repro.ric.store import RecordStore
+from repro.ric.store import RecordStore, RecordStoreProtocol
 from repro.server import (
     HashRing,
     RecordCacheDaemon,
@@ -327,6 +326,7 @@ class TestMakeRecordStoreDispatch:
     def test_single_endpoint_is_remote(self, tmp_path):
         store = make_record_store(str(tmp_path / "one.sock"))
         assert isinstance(store, RemoteRecordStore)
+        assert isinstance(store, RecordStoreProtocol)
         assert len(store.ring) == 1 and store.replication == 1
 
     def test_endpoint_list_is_sharded(self, tmp_path):
@@ -342,17 +342,7 @@ class TestMakeRecordStoreDispatch:
             f"{tmp_path}/a.sock, {tmp_path}/b.sock,{tmp_path}/c.sock"
         )
         assert isinstance(store, RemoteRecordStore)
-        assert len(store.ring) == 3
-
-    def test_engine_config_builds_sharded_store(self, fleet, tmp_path):
-        config = RICConfig(
-            remote_socket=tuple(str(d.socket_path) for d in fleet),
-            remote_replication=2,
-        )
-        engine = Engine(config=config)
-        assert isinstance(engine.record_store, RemoteRecordStore)
-        assert len(engine.record_store.ring) == 3
-        assert engine.record_store.replication == 2
+        assert len(store.ring) == 3 and store.replication == 2
 
 
 class TestTCPTransport:
